@@ -5,8 +5,9 @@ One integer seed determines a whole batch: each task draws from its own
 the same whatever the budget, and its :class:`~repro.exec.spec.TaskSpec`
 carries the full scenario as an inline config plus a per-task simulation
 seed derived with :func:`repro.exec.spec.derive_seed`.  Nothing here
-touches module-level randomness or the clock (lint rule FZZ001): every
-draw goes through the injected ``Random`` handle.
+touches module-level randomness or the clock (pinned by
+``tests/fuzz/test_imports.py``): every draw goes through the injected
+``Random`` handle.
 
 The sampled space, scoped to what the single-path packet substrate
 supports:

@@ -10,34 +10,33 @@ classifications:
     the run completed and every applicable property held;
 ``violated``
     a health check (conservation, queue bound) or an oracle property
-    (fair-share closeness, oracle cross-validation) failed;
+    (fair-share closeness) failed;
 ``crash``
     the worker raised — builder rejection, simulation error;
 ``timeout``
     the task overran its wall-clock budget.
 
 The oracle properties only apply to configs
-:func:`oracle_eligibility` accepts — the same conservatism
-:mod:`repro.obs.health` applies to hand-written scenarios (steady
-greedy demand, paper-filter phantom, settled horizon), restated over
-config dicts because generated scenarios are not in its curated
-scenario set.  For eligible configs the harness also cross-validates
-the Fahmy oracle against the incremental water-filling solver on the
-very topology under test — disagreement is itself a reportable
-violation (``oracle_consistency``), so the two independent
-implementations police each other on every batch.
+:func:`oracle_eligibility` accepts.  Its gates are
+:mod:`repro.obs.health`'s own gate table (paper-filter phantom, factor
+and settled-horizon limits, RM loss, the grant floor) plus the few that
+only a config can fail: access-limited trunks, long feedback delays,
+on/off demand and cross-traffic.  Eligible configs are judged against
+:func:`repro.fuzz.oracle.oracle_for_config`, the same solve path health
+applies to a built network.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
-from repro.core.fairness import max_min_allocation
 from repro.core.params import PhantomParams
 from repro.exec.pool import ExecResult, run_tasks
 from repro.exec.spec import TaskSpec
-from repro.fuzz.oracle import fair_share, oracle_for_config, topology_of
-from repro.obs.monitor import PASS, VIOLATED, check, fairness_gap_check
+from repro.fuzz.oracle import oracle_for_config, topology_of
+from repro.obs.health import (RM_LOSS_REASON, equilibrium_reason,
+                              floor_reason, law_reason)
+from repro.obs.monitor import VIOLATED, fairness_gap_check
 
 #: Classification labels.
 CLASS_PASS = "pass"
@@ -45,15 +44,6 @@ CLASS_VIOLATED = "violated"
 CLASS_CRASH = "crash"
 CLASS_TIMEOUT = "timeout"
 
-#: Tolerance for the two oracle implementations to agree (relative).
-_ORACLE_AGREE_RTOL = 1e-9
-
-#: Phantom knobs that re-parameterise without changing the equilibrium
-#: (mirrors ``repro.obs.health._RESCALING_KEYS``).
-_RESCALING_KEYS = frozenset({"interval", "utilization_factor"})
-#: Gates mirrored from repro.obs.health's equilibrium argument.
-_MAX_FACTOR = 10.0
-_MIN_SETTLED_INTERVALS = 50
 #: Feedback delays above this keep the loop visibly hunting on the
 #: committed horizons, so the ε-band argument is not applied.
 _MAX_ACCESS_DELAY = 1e-3
@@ -71,20 +61,10 @@ _DRIFT_FRACTION = 0.2
 
 def oracle_eligibility(config: Mapping[str, Any]) -> str | None:
     """Why the fair-share properties do not apply, or None if they do."""
-    if config.get("algorithm", "phantom") != "phantom":
-        return (f"algorithm {config.get('algorithm')!r} does not target "
-                f"the phantom-adjusted allocation")
     knobs = dict(config.get("algorithm_params") or {})
-    for key in sorted(knobs):
-        if key not in _RESCALING_KEYS:
-            return (f"algorithm parameter {key!r} departs from the "
-                    f"paper's filter")
-    defaults = PhantomParams()
-    factor = float(knobs.get("utilization_factor",
-                             defaults.utilization_factor))
-    if factor > _MAX_FACTOR:
-        return (f"utilization_factor {factor:g} > {_MAX_FACTOR:g} "
-                f"amplifies MACR noise past the ε-band")
+    reason = law_reason(config.get("algorithm", "phantom"), knobs)
+    if reason is not None:
+        return reason
     link_rate = float(config.get("link_rate", 150.0))
     for trunk in config.get("trunks", ()):
         if float(trunk.get("rate", link_rate)) > link_rate:
@@ -95,9 +75,7 @@ def oracle_eligibility(config: Mapping[str, Any]) -> str | None:
     if config.get("vbr") or config.get("cbr"):
         return "background cross-traffic perturbs the steady demand"
     if float(config.get("rm_loss", 0.0)) > 0.0:
-        return "RM-loss ablation perturbs the control loop"
-    duration = float(config.get("duration", 0.25))
-    interval = float(knobs.get("interval", defaults.interval))
+        return RM_LOSS_REASON
     latest_start = 0.0
     for session in config.get("sessions", ()):
         if session.get("onoff"):
@@ -108,22 +86,16 @@ def oracle_eligibility(config: Mapping[str, Any]) -> str | None:
                     f"{_MAX_ACCESS_DELAY:g}s")
         latest_start = max(latest_start,
                            float(session.get("start", 0.0)))
-    settled = duration - latest_start
-    if settled < _MIN_SETTLED_INTERVALS * interval:
-        return (f"only {settled:g}s after the last join is under "
-                f"{_MIN_SETTLED_INTERVALS} control intervals "
-                f"({interval:g}s each)")
-    # shares the grant floor makes unreachable by construction
+    phantom = PhantomParams(**knobs)   # law_reason admits only its fields
+    reason = equilibrium_reason(phantom.utilization_factor, phantom.interval,
+                                float(config.get("duration", 0.25)),
+                                latest_start)
+    if reason is not None:
+        return reason
     capacities, routes = topology_of(config)
-    oracle = oracle_for_config(config)
-    fraction = defaults.grant_floor_fraction
-    for vc in sorted(oracle):
-        floor = min(fraction * capacities[link]
-                    for link in routes[vc])
-        if oracle[vc] < floor:
-            return (f"oracle share {oracle[vc]:.3g} Mb/s for {vc!r} is "
-                    f"below the grant floor {floor:.3g} Mb/s")
-    return None
+    floors = {link: phantom.grant_floor_fraction * capacity
+              for link, capacity in capacities.items()}
+    return floor_reason(oracle_for_config(config), routes, floors)
 
 
 def _window_mean(times: list[float], values: list[float],
@@ -175,35 +147,7 @@ def _oracle_checks(config: Mapping[str, Any],
         measured[vc] = late
     gap = fairness_gap_check(measured, oracle, eps=eps)
     gap["name"] = "oracle_gap"
-    checks = [gap, _consistency_check(config)]
-    return checks, oracle, None
-
-
-def _consistency_check(config: Mapping[str, Any]) -> dict:
-    """The Fahmy solver against incremental water-filling, same inputs."""
-    from repro.atm.params import AbrParams
-
-    capacities, routes = topology_of(config)
-    knobs = dict(config.get("algorithm_params") or {})
-    factor = float(knobs.get("utilization_factor",
-                             PhantomParams().utilization_factor))
-    weights: dict[str, float] = {}
-    minimums: dict[str, float] = {}
-    for session in config.get("sessions", ()):
-        params = AbrParams(**dict(session.get("params") or {}))
-        weights[session["vc"]] = params.weight
-        if params.mcr > 0:
-            minimums[session["vc"]] = params.mcr
-    kwargs = dict(phantom_weight=1.0 / factor, weights=weights,
-                  minimums=minimums or None)
-    ours = fair_share(capacities, routes, **kwargs)
-    reference = max_min_allocation(capacities, routes, **kwargs)
-    worst = max((abs(ours[vc] - reference[vc])
-                 / max(abs(reference[vc]), 1e-12) for vc in reference),
-                default=0.0)
-    verdict = PASS if worst <= _ORACLE_AGREE_RTOL else VIOLATED
-    return check("oracle_consistency", verdict,
-                 evidence={"max_relative_disagreement": worst})
+    return [gap], oracle, None
 
 
 def classify_result(result: ExecResult,

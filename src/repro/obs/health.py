@@ -13,7 +13,7 @@ packet TCP, fluid, or hybrid — into one schema'd **HealthReport**::
 Five canonical checks: ``conservation`` and ``queue_bound`` apply to
 every run; ``convergence``, ``oscillation``, and ``fairness_gap`` are
 judged against the **oracle** — the phantom-adjusted max-min allocation
-computed by :func:`repro.core.fairness.max_min_allocation` from the
+with the backward-RM tax, computed by :func:`solve_oracle` from the
 network's own ``capacities()``/``routes()`` exporters — and report
 ``not-applicable`` (with the reason in evidence) for runs the paper's
 equilibrium argument does not cover: baselines, binary mode, bursty or
@@ -21,6 +21,11 @@ transient demand, ablations that change the control law itself.  An
 ablation that only re-parameterises the law (``utilization_factor``,
 ``interval``) keeps its oracle, with the factor folded into the
 phantom weight.
+
+This module is the one judge: built networks (:func:`oracle_allocation`)
+and fuzzed configs (:mod:`repro.fuzz`) are solved by the same
+:func:`solve_oracle` and gated by the same :func:`law_reason`,
+:func:`equilibrium_reason` and :func:`floor_reason`.
 
 The report rides inside run manifests (``repro.obs.manifest``), is
 reduced per task by the exec worker and aggregated by ``repro suite
@@ -35,7 +40,7 @@ never take a worker task down with it.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from repro.core.fairness import max_min_allocation
 from repro.obs.monitor import (DEFAULT_EPS, NOT_APPLICABLE, PASS, VIOLATED,
@@ -100,78 +105,164 @@ def _not_applicable(reason: str) -> list[dict[str, Any]]:
 
 
 # ----------------------------------------------------------------------
-# oracle wiring
+# the oracle: one solve path for every topology view
 # ----------------------------------------------------------------------
+class OracleSession(NamedTuple):
+    """One session of an oracle view: its trunk-port route (``"A->B"``),
+    ABR parameters, forward cells per backward RM cell (0: none, as in
+    the fluid tier) and the number of identical flows it stands for."""
+
+    route: list[str]
+    weight: float
+    mcr: float
+    pcr: float
+    nrm: int = 0
+    count: int = 1
+
+
+def packet_session(route: list[str], params) -> OracleSession:
+    """The view of one packet ABR session built with ``params``
+    (:class:`repro.atm.params.AbrParams`)."""
+    return OracleSession(route, params.weight, params.mcr, params.pcr,
+                         params.nrm)
+
+
+def solve_oracle(capacities: Mapping[str, float],
+                 sessions: Mapping[str, OracleSession],
+                 factor: float) -> dict[str, float]:
+    """The phantom-adjusted max-min share of every session in a view.
+
+    Water-filling with phantom weight ``1/f`` over ``count × weight``
+    shares and ``count × MCR`` floors; each share is per flow and
+    clamped at PCR (a source never sends faster).  Packet sessions pay
+    the **backward-RM tax**: one RM cell per ``Nrm`` forward cells
+    takes ``share / Nrm`` of every *reverse* port of the route, idle
+    under one-directional traffic, ~3% of a loaded link otherwise.  The
+    coupled fixpoint converges in a few rounds of the solver.
+    """
+    routes = {name: s.route for name, s in sessions.items()}
+    weights = {name: s.count * s.weight for name, s in sessions.items()}
+    minimums = {name: s.count * s.mcr for name, s in sessions.items()
+                if s.mcr > 0}
+
+    def solve(caps: Mapping[str, float]) -> dict[str, float]:
+        allocation = max_min_allocation(caps, routes,
+                                        phantom_weight=1.0 / factor,
+                                        minimums=minimums or None,
+                                        weights=weights)
+        return {name: min(rate / sessions[name].count, sessions[name].pcr)
+                for name, rate in allocation.items()}
+
+    shares = solve(capacities)
+    taxed = {name: s for name, s in sessions.items() if s.nrm}
+    for _ in range(8 if taxed else 0):
+        tax = dict.fromkeys(capacities, 0.0)
+        for name, session in taxed.items():
+            for link in session.route:
+                a, b = link.split("->")
+                tax[f"{b}->{a}"] += shares[name] * (1.0 / session.nrm)
+        refined = solve({link: max(cap - tax[link], cap * 1e-3)
+                         for link, cap in capacities.items()})
+        worst = max(abs(refined[name] - shares[name])
+                    / max(shares[name], 1e-12) for name in shares)
+        shares = refined
+        if worst < 1e-12:
+            break
+    return shares
+
+
 def oracle_allocation(run) -> dict[str, float]:
     """The phantom-adjusted max-min allocation for a run's topology.
 
-    Reads the network's ``capacities()``/``routes()`` exporters and the
-    Phantom parameters the run was actually built with: the phantom
-    weight is ``1/f`` from the bottleneck's ``utilization_factor``,
-    session weights and MCR floors come from the per-session ABR
-    parameters, and every session's share is clamped at its PCR (a
-    source never sends faster, whatever the water level says).
-
-    For fluid runs the unit is the *per-flow* rate: a cohort of
-    ``count`` flows enters the water-fill with ``count × weight``
-    shares and its allocation is divided back by ``count``.
+    The run's view is the network's ``capacities()``/``routes()``
+    exporters plus the parameters it was actually built with: the
+    bottleneck's ``utilization_factor`` and each session's ABR
+    weight/MCR/PCR/Nrm.  A fluid cohort enters as ``count`` flows and
+    pays no RM tax — the fluid tier carries no backward RM cells.
     """
     net = run.net
-    if hasattr(net, "steps"):          # FluidNetwork
-        return _fluid_oracle(net)
-    capacities = net.capacities()
-    routes = {name: path for name, path in net.routes().items() if path}
-    factor = _utilization_factor(run)
-    weights = {}
-    minimums = {}
-    pcr = {}
-    for vc, session in net.sessions.items():
-        params = session.source.params
-        weights[vc] = params.weight
-        if params.mcr > 0:
-            minimums[vc] = params.mcr
-        pcr[vc] = params.pcr
-    allocation = max_min_allocation(capacities, routes,
-                                    phantom_weight=1.0 / factor,
-                                    minimums=minimums or None,
-                                    weights=weights)
-    return {vc: min(rate, pcr[vc])
-            for vc, rate in allocation.items()}
-
-
-def _utilization_factor(run) -> float:
-    algorithm = getattr(run.bottleneck, "algorithm", None)
-    factor = getattr(getattr(algorithm, "params", None),
-                     "utilization_factor", None)
-    if factor is None:
-        raise ValueError(
-            "bottleneck algorithm exposes no utilization_factor; "
-            "the phantom-adjusted oracle needs a Phantom port")
-    return factor
-
-
-def _fluid_oracle(net) -> dict[str, float]:
-    capacities = net.capacities()
     routes = net.routes()
-    factor = net.phantom.utilization_factor
-    weights = {}
-    counts = {}
-    pcr = {}
-    for cohort in net.cohorts:
-        weights[cohort.name] = cohort.count * cohort.params.weight
-        counts[cohort.name] = cohort.count
-        pcr[cohort.name] = cohort.params.pcr
-    allocation = max_min_allocation(capacities, routes,
-                                    phantom_weight=1.0 / factor,
-                                    weights=weights)
-    return {name: min(rate / counts[name], pcr[name])
-            for name, rate in allocation.items()}
+    if hasattr(net, "steps"):          # FluidNetwork
+        factor = net.phantom.utilization_factor
+        sessions = {
+            cohort.name: OracleSession(routes[cohort.name],
+                                       cohort.params.weight,
+                                       cohort.params.mcr,
+                                       cohort.params.pcr,
+                                       count=cohort.count)
+            for cohort in net.cohorts}
+    else:
+        factor = run.bottleneck.algorithm.params.utilization_factor
+        sessions = {vc: packet_session(routes[vc], session.source.params)
+                    for vc, session in net.sessions.items() if routes[vc]}
+    return solve_oracle(net.capacities(), sessions, factor)
+
+
+# ----------------------------------------------------------------------
+# the gate table: where the equilibrium argument applies
+# ----------------------------------------------------------------------
+RM_LOSS_REASON = "RM-loss ablation perturbs the control loop"
+
+
+def law_reason(algorithm: str, knobs: Mapping[str, Any]) -> str | None:
+    """Why ``algorithm`` with parameter overrides ``knobs`` does not
+    target the phantom-adjusted allocation, or None when it does: only
+    the paper's Phantom, at most re-parameterised."""
+    if algorithm != "phantom":
+        return (f"algorithm {algorithm!r} does not target the "
+                f"phantom-adjusted allocation")
+    for key in sorted(knobs):
+        if key in _RESCALING_KEYS:
+            continue
+        if key == "use_deviation" and knobs[key] is True:
+            continue
+        return (f"algorithm parameter {key!r} departs from the "
+                f"paper's filter")
+    return None
+
+
+def equilibrium_reason(factor: float, interval: float, duration: float,
+                       latest_start: float = 0.0) -> str | None:
+    """Does a run with this factor, control interval and horizon sit
+    where the equilibrium argument applies?  Only the span after
+    ``latest_start`` (the last session's join) counts as settling
+    time."""
+    if factor > MAX_ORACLE_FACTOR:
+        return (f"utilization_factor {factor:g} > {MAX_ORACLE_FACTOR:g} "
+                f"amplifies MACR noise past the ε-band")
+    settled = duration - latest_start
+    if settled < MIN_ORACLE_INTERVALS * interval:
+        span = (f"only {settled:g}s after the last join"
+                if latest_start > 0 else f"horizon {duration:g}s")
+        return (f"{span} is under {MIN_ORACLE_INTERVALS} control "
+                f"intervals ({interval:g}s each)")
+    return None
+
+
+def floor_reason(oracle: Mapping[str, float],
+                 routes: Mapping[str, list[str]],
+                 floors: Mapping[str, float]) -> str | None:
+    """Phantom never grants below ``grant_floor_fraction × C``, so an
+    oracle share under the floor of every link on the path is
+    unreachable by construction — the ε-band argument does not apply
+    (per-flow shares, in the fluid tier's case)."""
+    for name in sorted(oracle):
+        path = routes.get(name) or []
+        if not path:
+            continue
+        floor = min(floors[link] for link in path)
+        if oracle[name] < floor:
+            return (f"oracle share {oracle[name]:.3g} Mb/s for "
+                    f"{name!r} is below the grant floor "
+                    f"{floor:.3g} Mb/s")
+    return None
 
 
 def _oracle_reason(scenario: str | None,
                    params: Mapping[str, Any] | None,
                    kind: str) -> str | None:
-    """Why the oracle checks do not apply, or None when they do."""
+    """Why the oracle checks do not apply to a registry scenario, or
+    None when they do."""
     if scenario is None:
         return "no scenario name given"
     if scenario not in _ORACLE_SCENARIOS:
@@ -179,25 +270,13 @@ def _oracle_reason(scenario: str | None,
                 f"equilibrium to judge against")
     params = params or {}
     if kind == "atm":
-        algorithm = params.get("algorithm", "phantom")
-        if algorithm != "phantom":
-            return (f"algorithm {algorithm!r} does not target the "
-                    f"phantom-adjusted allocation")
-        knobs = params.get("algorithm_params") or {}
-    else:
-        if params.get("mode", "er") != "er":
-            return "binary feedback mode has no explicit-rate oracle"
-        if params.get("rm_loss", 0.0):
-            return "RM-loss ablation perturbs the control loop"
-        knobs = params.get("phantom_params") or {}
-    for key, value in knobs.items():
-        if key in _RESCALING_KEYS:
-            continue
-        if key == "use_deviation" and value is True:
-            continue
-        return (f"algorithm parameter {key!r} departs from the "
-                f"paper's filter")
-    return None
+        return law_reason(params.get("algorithm", "phantom"),
+                          params.get("algorithm_params") or {})
+    if params.get("mode", "er") != "er":
+        return "binary feedback mode has no explicit-rate oracle"
+    if params.get("rm_loss", 0.0):
+        return RM_LOSS_REASON
+    return law_reason("phantom", params.get("phantom_params") or {})
 
 
 # ----------------------------------------------------------------------
@@ -216,8 +295,15 @@ def _steady_measured(probes: Mapping[str, Any], start: float,
     return measured
 
 
-def _oracle_checks(probes: Mapping[str, Any], oracle: dict[str, float],
-                   run, eps: float) -> list[dict[str, Any]]:
+def _oracle_checks(checks: list[dict[str, Any]], run,
+                   floors: Mapping[str, float], probes: Mapping[str, Any],
+                   eps: float):
+    """The grant-floor gate, then the oracle checks of the run's rate
+    ``probes``; returns ``(checks, oracle or None)``."""
+    oracle = oracle_allocation(run)
+    reason = floor_reason(oracle, run.net.routes(), floors)
+    if reason is not None:
+        return checks + _not_applicable(reason), None
     conv = convergence_check(probes, oracle, eps=eps,
                              horizon=run.duration)
     settling = conv["evidence"]["settling_s"]
@@ -226,40 +312,7 @@ def _oracle_checks(probes: Mapping[str, Any], oracle: dict[str, float],
     start, end = run.steady_window()
     gap = fairness_gap_check(_steady_measured(probes, start, end),
                              oracle, eps=eps)
-    return [conv, osc, gap]
-
-
-def _floor_reason(oracle: Mapping[str, float],
-                  routes: Mapping[str, list[str]],
-                  floors: Mapping[str, float]) -> str | None:
-    """Phantom never grants below ``grant_floor_fraction × C``, so an
-    oracle share under the floor of every link on the path is
-    unreachable by construction — the ε-band argument does not apply
-    (per-flow shares, in the fluid tier's case)."""
-    for name in sorted(oracle):
-        path = routes.get(name) or []
-        if not path:
-            continue
-        floor = min(floors[link] for link in path)
-        if oracle[name] < floor:
-            return (f"oracle share {oracle[name]:.3g} Mb/s for "
-                    f"{name!r} is below the grant floor "
-                    f"{floor:.3g} Mb/s")
-    return None
-
-
-def _equilibrium_reason(factor: float, interval: float,
-                        duration: float) -> str | None:
-    """Gates read off the built network, not the params: does the run
-    as configured sit where the equilibrium argument applies?"""
-    if factor > MAX_ORACLE_FACTOR:
-        return (f"utilization_factor {factor:g} > {MAX_ORACLE_FACTOR:g} "
-                f"amplifies MACR noise past the ε-band")
-    if duration < MIN_ORACLE_INTERVALS * interval:
-        return (f"horizon {duration:g}s is under "
-                f"{MIN_ORACLE_INTERVALS} control intervals "
-                f"({interval:g}s each)")
-    return None
+    return checks + [conv, osc, gap], oracle
 
 
 def _atm_checks(run, scenario, params, eps, queue_bound, watch):
@@ -268,21 +321,16 @@ def _atm_checks(run, scenario, params, eps, queue_bound, watch):
     reason = _oracle_reason(scenario, params, "atm")
     if reason is None:
         algo_params = run.bottleneck.algorithm.params
-        reason = _equilibrium_reason(algo_params.utilization_factor,
+        reason = equilibrium_reason(algo_params.utilization_factor,
                                      algo_params.interval, run.duration)
     if reason is not None:
         return checks + _not_applicable(reason), None
-    oracle = oracle_allocation(run)
-    fraction = getattr(run.bottleneck.algorithm.params,
-                       "grant_floor_fraction", 0.0)
+    fraction = getattr(algo_params, "grant_floor_fraction", 0.0)
     floors = {port.name: fraction * port.rate_mbps
               for port in run.net.trunks.values()}
-    reason = _floor_reason(oracle, run.net.routes(), floors)
-    if reason is not None:
-        return checks + _not_applicable(reason), None
     probes = {vc: session.acr_probe
               for vc, session in run.net.sessions.items()}
-    return checks + _oracle_checks(probes, oracle, run, eps), oracle
+    return _oracle_checks(checks, run, floors, probes, eps)
 
 
 def _tcp_checks(run, scenario, params, eps, queue_bound, watch):
@@ -299,22 +347,18 @@ def _fluid_checks(run, scenario, params, eps, queue_bound, watch):
               queue_bound_check(run, queue_bound, watch)]
     reason = _oracle_reason(scenario, params, "fluid")
     if reason is None:
-        reason = _equilibrium_reason(
+        reason = equilibrium_reason(
             run.net.phantom.utilization_factor, run.net.dt, run.duration)
     if reason is None and not run.net.record_cohorts:
         reason = "cohort recording is off (no per-flow rate series)"
     if reason is not None:
         return checks + _not_applicable(reason), None
-    oracle = oracle_allocation(run)
     floors = {name: trunk.params.grant_floor_fraction
               * trunk.capacity_mbps
               for name, trunk in run.net.trunks.items()}
-    reason = _floor_reason(oracle, run.net.routes(), floors)
-    if reason is not None:
-        return checks + _not_applicable(reason), None
     probes = {cohort.name: cohort.rate_probe
               for cohort in run.net.cohorts}
-    return checks + _oracle_checks(probes, oracle, run, eps), oracle
+    return _oracle_checks(checks, run, floors, probes, eps)
 
 
 def _hybrid_checks(run, scenario, params, eps, queue_bound, watch):
@@ -462,6 +506,9 @@ def merge_health(reports: Mapping[str, Mapping[str, Any]]
 
 __all__ = [
     "CHECK_NAMES", "DEFAULT_EPS", "HEALTH_SCHEMA", "HEALTH_VERSION",
-    "ORACLE_CHECKS", "SUITE_HEALTH_SCHEMA", "build_health",
-    "merge_health", "oracle_allocation", "validate_health", "verdict_of",
+    "MAX_ORACLE_FACTOR", "MIN_ORACLE_INTERVALS", "ORACLE_CHECKS",
+    "OracleSession", "RM_LOSS_REASON", "SUITE_HEALTH_SCHEMA",
+    "build_health", "equilibrium_reason", "floor_reason", "law_reason",
+    "merge_health", "oracle_allocation", "packet_session", "solve_oracle",
+    "validate_health", "verdict_of",
 ]

@@ -9,6 +9,7 @@ from repro.fuzz.harness import (CLASS_CRASH, CLASS_PASS, CLASS_TIMEOUT,
                                 CLASS_VIOLATED, _window_mean,
                                 classify_result, judge_batch,
                                 oracle_eligibility)
+from repro.obs.health import _oracle_reason
 from repro.obs.monitor import PASS, VIOLATED, check
 
 
@@ -57,6 +58,22 @@ def test_eligible_config_has_no_reason():
 def test_gate_reasons(overrides, needle):
     reason = oracle_eligibility(eligible_config(**overrides))
     assert reason is not None and needle in reason
+
+
+@pytest.mark.parametrize("knobs", [
+    {"use_deviation": True},
+    {"use_deviation": False},
+    {"interval": 5e-4, "utilization_factor": 8.0},
+    {"alpha_dec": 0.25},
+])
+def test_gates_agree_with_the_health_report(knobs):
+    # one gate table: the same algorithm overrides get the same answer
+    # on a generated config and on a curated scenario
+    health = _oracle_reason("atm.staggered", {"algorithm": "phantom",
+                                              "algorithm_params": knobs},
+                            "atm")
+    assert oracle_eligibility(eligible_config(algorithm_params=knobs)) \
+        == health
 
 
 def test_gate_on_shares_below_the_grant_floor():

@@ -1,17 +1,20 @@
-"""The Fahmy round-based oracle: hand-worked allocations, input
-validation, and cross-validation against the water-filling solver and
-the health-report oracle."""
+"""The Fahmy round-based reference solver (hand-worked allocations,
+input validation, cross-validation against the water-filling solver and
+the health-report oracle) and the config view of the one oracle."""
 
 import pytest
 
 from repro.atm.params import AbrParams
-from repro.core import PhantomAlgorithm
+from repro.core import PhantomAlgorithm, PhantomParams
 from repro.core.fairness import max_min_allocation
 from repro.fuzz.gen import generate_batch
-from repro.fuzz.oracle import fair_share, oracle_for_config, topology_of
+from repro.fuzz.oracle import oracle_for_config, topology_of
 from repro.obs.health import oracle_allocation
 from repro.scenarios import (on_off, parking_lot, rtt_spread,
                              staggered_start, transient)
+from repro.scenarios.generic import build_atm
+
+from tests.fuzz.fahmy import fair_share
 
 
 # ----------------------------------------------------------------------
@@ -123,9 +126,8 @@ def test_agrees_with_water_filling_on_generated_topologies():
 @pytest.mark.parametrize("builder", [staggered_start, rtt_spread,
                                      parking_lot, transient, on_off])
 def test_agrees_with_the_health_oracle_on_curated_builders(builder):
-    # the health report's oracle reads a *built* network; the fuzz
-    # oracle reads a config.  Feed the built network's exporters into
-    # fair_share and both must assign the same shares.
+    # feed the built network's exporters into the Fahmy reference: it
+    # must assign the shares the health report's oracle does
     run = builder(PhantomAlgorithm, run=False)
     net = run.net
     routes = {vc: path for vc, path in net.routes().items() if path}
@@ -180,21 +182,35 @@ def test_one_directional_config_sees_no_rm_tax():
     assert shares == pytest.approx({"s0": 150 / 2.2, "s1": 150 / 2.2})
 
 
+OPPOSING = {
+    "switches": ["S1", "S2"],
+    "link_rate": 150.0,
+    "trunks": [{"a": "S1", "b": "S2"}],
+    "sessions": [{"vc": "fwd", "route": ["S1", "S2"]},
+                 {"vc": "rev", "route": ["S2", "S1"]}],
+    "algorithm_params": {"utilization_factor": 5.0},
+}
+
+
 def test_opposing_sessions_pay_the_backward_rm_tax():
     # each direction's only session would get C/(1+1/f) alone, but the
     # opposing session's backward RM stream (rate/Nrm) shaves its
     # capacity: the symmetric fixpoint is g = (C - g/32) / 1.2
-    config = {
-        "link_rate": 150.0,
-        "trunks": [{"a": "S1", "b": "S2"}],
-        "sessions": [{"vc": "fwd", "route": ["S1", "S2"]},
-                     {"vc": "rev", "route": ["S2", "S1"]}],
-        "algorithm_params": {"utilization_factor": 5.0},
-    }
-    shares = oracle_for_config(config)
+    shares = oracle_for_config(OPPOSING)
     expected = 150.0 / (1.2 + 1.0 / 32)
     assert shares == pytest.approx({"fwd": expected, "rev": expected})
     assert shares["fwd"] < 150 / 1.2  # strictly below the untaxed share
+
+
+def test_built_network_pays_the_same_backward_rm_tax():
+    # one judge: the health oracle of the built network charges the tax
+    # too, and agrees with the config's view of it
+    run = build_atm(OPPOSING, algorithm_factory=lambda: PhantomAlgorithm(
+        PhantomParams(utilization_factor=5.0)), run=False)
+    expected = 150.0 / (1.2 + 1.0 / 32)
+    assert oracle_allocation(run) == pytest.approx(
+        {"fwd": expected, "rev": expected})
+    assert oracle_allocation(run) == oracle_for_config(OPPOSING)
 
 
 def test_oracle_for_config_clamps_at_pcr():
