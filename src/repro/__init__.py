@@ -25,44 +25,53 @@ Packages
 ``repro.analysis``   fairness/convergence/queue metrics and reporting
 """
 
-from repro.atm import AbrParams, AtmNetwork, PAPER_PARAMS
-from repro.baselines import (AprcAlgorithm, CapcAlgorithm, EprcaAlgorithm,
-                             EricaAlgorithm)
-from repro.core import (BinaryPhantomAlgorithm, MacrFilter, PhantomAlgorithm,
-                        PhantomParams, max_min_allocation,
-                        phantom_allocation, phantom_equilibrium_rate,
-                        phantom_equilibrium_utilization)
-from repro.sim import Simulator
-from repro.tcp import (DropTail, Red, RenoParams, SelectiveDiscard,
-                       SelectiveEfci, SelectiveQuench, SelectiveRed,
-                       TcpNetwork)
+import importlib
+from typing import TYPE_CHECKING
+
+# Exports resolve on first use (PEP 562), so a command loads only the
+# modules it runs.  The imports below stay for type checkers and for the
+# fingerprint walker (repro.exec.fingerprint), which follows them like
+# any other import; tests/test_startup.py keeps them and _EXPORTS
+# naming the same pairs.
+if TYPE_CHECKING:
+    from repro.atm import AbrParams, AtmNetwork, PAPER_PARAMS
+    from repro.baselines import (AprcAlgorithm, CapcAlgorithm,
+                                 EprcaAlgorithm, EricaAlgorithm)
+    from repro.core import (BinaryPhantomAlgorithm, MacrFilter,
+                            PhantomAlgorithm, PhantomParams,
+                            max_min_allocation, phantom_allocation,
+                            phantom_equilibrium_rate,
+                            phantom_equilibrium_utilization)
+    from repro.sim import Simulator
+    from repro.tcp import (DropTail, Red, RenoParams, SelectiveDiscard,
+                           SelectiveEfci, SelectiveQuench, SelectiveRed,
+                           TcpNetwork)
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AbrParams",
-    "AtmNetwork",
-    "PAPER_PARAMS",
-    "AprcAlgorithm",
-    "CapcAlgorithm",
-    "EprcaAlgorithm",
-    "EricaAlgorithm",
-    "BinaryPhantomAlgorithm",
-    "MacrFilter",
-    "PhantomAlgorithm",
-    "PhantomParams",
-    "max_min_allocation",
-    "phantom_allocation",
-    "phantom_equilibrium_rate",
-    "phantom_equilibrium_utilization",
-    "Simulator",
-    "DropTail",
-    "Red",
-    "RenoParams",
-    "SelectiveDiscard",
-    "SelectiveEfci",
-    "SelectiveQuench",
-    "SelectiveRed",
-    "TcpNetwork",
-    "__version__",
-]
+#: Public name -> the module it is imported from on first use.
+_EXPORTS = {name: module for module, names in {
+    "repro.atm": ("AbrParams", "AtmNetwork", "PAPER_PARAMS"),
+    "repro.baselines": ("AprcAlgorithm", "CapcAlgorithm", "EprcaAlgorithm",
+                        "EricaAlgorithm"),
+    "repro.core": ("BinaryPhantomAlgorithm", "MacrFilter",
+                   "PhantomAlgorithm", "PhantomParams",
+                   "max_min_allocation", "phantom_allocation",
+                   "phantom_equilibrium_rate",
+                   "phantom_equilibrium_utilization"),
+    "repro.sim": ("Simulator",),
+    "repro.tcp": ("DropTail", "Red", "RenoParams", "SelectiveDiscard",
+                  "SelectiveEfci", "SelectiveQuench", "SelectiveRed",
+                  "TcpNetwork"),
+}.items() for name in names}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

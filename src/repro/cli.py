@@ -14,59 +14,37 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
-from repro.analysis import format_table, jain_index, print_series
-from repro.baselines import (AprcAlgorithm, CapcAlgorithm, EprcaAlgorithm,
-                             EricaAlgorithm)
-from repro.core import (BinaryPhantomAlgorithm, PhantomAlgorithm,
-                        max_min_allocation)
-from repro.lint import cli as lint_cli
-from repro.obs import cli as obs_cli
-from repro.scenarios import (drop_tail_policy, many_flows, mixed_stacks,
-                             on_off, parking_lot, rtt_fairness, rtt_spread,
-                             selective_discard_policy, selective_efci_policy,
-                             selective_quench_policy, selective_red_policy,
-                             staggered_start, tcp_parking_lot, transient,
-                             vegas_thresholds)
+from repro.exec.entries import ATM_ALGORITHMS, TCP_POLICIES, resolve
 
-ATM_ALGORITHMS = {
-    "phantom": PhantomAlgorithm,
-    "phantom-binary": BinaryPhantomAlgorithm,
-    "eprca": EprcaAlgorithm,
-    "aprc": AprcAlgorithm,
-    "capc": CapcAlgorithm,
-    "erica": EricaAlgorithm,
-}
+# Every table below holds names, and every command imports what it runs,
+# so `python -m repro suite` never loads the simulator, the linter or the
+# gateway.  ATM_ALGORITHMS and TCP_POLICIES are repro.exec.entries'
+# tables: a flag value means what the same name means in a task spec.
 
+#: ``repro atm --scenario`` value -> builder.
 ATM_SCENARIOS = {
-    "staggered": staggered_start,
-    "onoff": on_off,
-    "rtt": rtt_spread,
-    "parking-lot": parking_lot,
-    "transient": transient,
+    "staggered": "repro.scenarios.atm.staggered_start",
+    "onoff": "repro.scenarios.atm.on_off",
+    "rtt": "repro.scenarios.atm.rtt_spread",
+    "parking-lot": "repro.scenarios.atm.parking_lot",
+    "transient": "repro.scenarios.atm.transient",
 }
 
-TCP_POLICIES = {
-    "drop-tail": drop_tail_policy,
-    "selective-discard": selective_discard_policy,
-    "quench": selective_quench_policy,
-    "efci": selective_efci_policy,
-    "selective-red": selective_red_policy,
-}
-
+#: ``repro tcp --scenario`` value -> builder.
 TCP_SCENARIOS = {
-    "rtt": rtt_fairness,
-    "parking-lot": tcp_parking_lot,
-    "many": many_flows,
-    "vegas": vegas_thresholds,
-    "mixed": mixed_stacks,
+    "rtt": "repro.scenarios.tcp.rtt_fairness",
+    "parking-lot": "repro.scenarios.tcp.tcp_parking_lot",
+    "many": "repro.scenarios.tcp.many_flows",
+    "vegas": "repro.scenarios.tcp.vegas_thresholds",
+    "mixed": "repro.scenarios.tcp.mixed_stacks",
 }
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    # imported here so the exec entry points only load when listed
     from repro.exec.registry import all_scenarios
 
     print("ATM scenarios :", ", ".join(sorted(ATM_SCENARIOS)))
@@ -118,8 +96,10 @@ def _write_obs_artifacts(command: str, params: dict, run, tracer,
 
 
 def _cmd_atm(args: argparse.Namespace) -> int:
-    algorithm = ATM_ALGORITHMS[args.algorithm]
-    scenario = ATM_SCENARIOS[args.scenario]
+    from repro.analysis import format_table, jain_index, print_series
+
+    algorithm = resolve(ATM_ALGORITHMS[args.algorithm][0])
+    scenario = resolve(ATM_SCENARIOS[args.scenario])
     kwargs = {"duration": args.duration}
     if args.scenario == "staggered" and args.sessions is not None:
         kwargs["n_sessions"] = args.sessions
@@ -168,8 +148,10 @@ def _cmd_atm(args: argparse.Namespace) -> int:
 
 
 def _cmd_tcp(args: argparse.Namespace) -> int:
-    policy = TCP_POLICIES[args.policy]
-    scenario = TCP_SCENARIOS[args.scenario]
+    from repro.analysis import format_table, jain_index
+
+    policy = resolve(TCP_POLICIES[args.policy][0])
+    scenario = resolve(TCP_SCENARIOS[args.scenario])
     kwargs = {"duration": args.duration}
     tracer = None
     if args.trace:
@@ -210,6 +192,9 @@ def _parse_pairs(pairs: Sequence[str], what: str) -> dict[str, str]:
 
 
 def _cmd_maxmin(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
+    from repro.core.fairness import max_min_allocation
+
     capacities = {name: float(value) for name, value in
                   _parse_pairs(args.link, "link").items()}
     routes = {name: value.split(",") for name, value in
@@ -224,12 +209,14 @@ def _cmd_maxmin(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.lint import cli as lint_cli
+
     return lint_cli.run_from_args(args)
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    # imported here so `repro list/atm/...` never pays for the perf suite
     from repro import perf
+    from repro.analysis import format_table
 
     report = perf.run_suite(args.workload or None, scale=args.scale,
                             repeats=args.repeats)
@@ -304,18 +291,18 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
+    from repro.obs import cli as obs_cli
+
     return obs_cli.run(args)
 
 
 def _cmd_fluid(args: argparse.Namespace) -> int:
-    # imported here so `repro list/atm/...` never pays for the fluid tier
     from repro.fluid import cli as fluid_cli
 
     return fluid_cli.run(args)
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    # imported here so `repro list/atm/...` never pays for the executor
     from repro.exec import cli as exec_cli
 
     return exec_cli.run_suite_command(args)
@@ -328,29 +315,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    # imported here so `repro list/atm/...` never pays for the fuzzer
     from repro.fuzz import cli as fuzz_cli
 
     return fuzz_cli.run_command(args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    # imported here so `repro list/atm/...` never pays for the gateway
     from repro.serve import cli as serve_cli
 
     return serve_cli.run(args)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Phantom flow-control reproduction (SIGCOMM 1996)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list scenarios, algorithms, policies"
-                   ).set_defaults(fn=_cmd_list)
-
-    atm = sub.add_parser("atm", help="run an ATM scenario")
+def _add_atm_arguments(atm: argparse.ArgumentParser) -> None:
     atm.add_argument("--scenario", choices=sorted(ATM_SCENARIOS),
                      default="staggered")
     atm.add_argument("--algorithm", choices=sorted(ATM_ALGORITHMS),
@@ -365,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "tracing; see docs/OBSERVABILITY.md)")
     atm.add_argument("--manifest", default="repro_atm.manifest.json",
                      help="run manifest path; '' to skip")
-    atm.set_defaults(fn=_cmd_atm)
 
-    tcp = sub.add_parser("tcp", help="run a TCP scenario")
+
+def _add_tcp_arguments(tcp: argparse.ArgumentParser) -> None:
     tcp.add_argument("--scenario", choices=sorted(TCP_SCENARIOS),
                      default="rtt")
     tcp.add_argument("--policy", choices=sorted(TCP_POLICIES),
@@ -378,27 +354,18 @@ def build_parser() -> argparse.ArgumentParser:
                           "tracing; see docs/OBSERVABILITY.md)")
     tcp.add_argument("--manifest", default="repro_tcp.manifest.json",
                      help="run manifest path; '' to skip")
-    tcp.set_defaults(fn=_cmd_tcp)
 
-    maxmin = sub.add_parser(
-        "maxmin", help="compute a (phantom) max-min allocation")
+
+def _add_maxmin_arguments(maxmin: argparse.ArgumentParser) -> None:
     maxmin.add_argument("--link", action="append", required=True,
                         metavar="NAME=CAPACITY")
     maxmin.add_argument("--session", action="append", required=True,
                         metavar="NAME=LINK1,LINK2,...")
     maxmin.add_argument("--factor", type=float, default=None,
                         help="utilization factor; omit for classic max-min")
-    maxmin.set_defaults(fn=_cmd_maxmin)
 
-    lint = sub.add_parser(
-        "lint", help="statically check determinism, unit-safety, and "
-                     "sim-API invariants (see docs/LINTING.md)")
-    lint_cli.add_arguments(lint)
-    lint.set_defaults(fn=_cmd_lint)
 
-    perf = sub.add_parser(
-        "perf", help="measure hot-path throughput and refresh "
-                     "BENCH_perf.json (see docs/PERFORMANCE.md)")
+def _add_perf_arguments(perf: argparse.ArgumentParser) -> None:
     perf.add_argument("--workload", action="append", default=None,
                       help="workload name (repeatable; default: all)")
     perf.add_argument("--scale", type=float, default=1.0,
@@ -422,59 +389,66 @@ def build_parser() -> argparse.ArgumentParser:
                            "drift against --baseline")
     perf.add_argument("--history", default="BENCH_history.jsonl",
                       help="append-only measurement log for --record")
-    perf.set_defaults(fn=_cmd_perf)
 
-    obs = sub.add_parser(
-        "obs", help="record, inspect, convert, and diff traces and run "
-                    "manifests (see docs/OBSERVABILITY.md)")
-    obs_cli.add_arguments(obs)
-    obs.set_defaults(fn=_cmd_obs)
 
-    from repro.fluid import cli as fluid_cli
+#: subcommand -> (help, what adds its arguments, what runs it).  The
+#: package CLIs' adders are dotted names, imported only when their
+#: subcommand's arguments are built.
+COMMANDS: dict[str, tuple[str, Callable | str | None, Callable]] = {
+    "list": ("list scenarios, algorithms, policies", None, _cmd_list),
+    "atm": ("run an ATM scenario", _add_atm_arguments, _cmd_atm),
+    "tcp": ("run a TCP scenario", _add_tcp_arguments, _cmd_tcp),
+    "maxmin": ("compute a (phantom) max-min allocation",
+               _add_maxmin_arguments, _cmd_maxmin),
+    "lint": ("statically check determinism, unit-safety, and sim-API "
+             "invariants (see docs/LINTING.md)",
+             "repro.lint.cli.add_arguments", _cmd_lint),
+    "perf": ("measure hot-path throughput and refresh BENCH_perf.json "
+             "(see docs/PERFORMANCE.md)", _add_perf_arguments, _cmd_perf),
+    "obs": ("record, inspect, convert, and diff traces and run manifests "
+            "(see docs/OBSERVABILITY.md)",
+            "repro.obs.cli.add_arguments", _cmd_obs),
+    "fluid": ("run, validate, and benchmark the fluid/hybrid simulation "
+              "tier (see docs/FLUID.md)",
+              "repro.fluid.cli.add_arguments", _cmd_fluid),
+    "suite": ("run the experiment suite (E01-E26) across worker processes "
+              "with result caching (see docs/EXECUTION.md)",
+              "repro.exec.cli.add_suite_arguments", _cmd_suite),
+    "sweep": ("run a declarative parameter grid for one scenario (see "
+              "docs/EXECUTION.md)",
+              "repro.exec.cli.add_sweep_arguments", _cmd_sweep),
+    "fuzz": ("generate, judge, shrink, and replay seeded scenarios against "
+             "the fair-share oracle (see docs/FUZZING.md)",
+             "repro.fuzz.cli.add_arguments", _cmd_fuzz),
+    "serve": ("run the simulation-as-a-service gateway with Phantom-MACR "
+              "admission control (see docs/SERVING.md)",
+              "repro.serve.cli.add_arguments", _cmd_serve),
+}
 
-    fluid = sub.add_parser(
-        "fluid", help="run, validate, and benchmark the fluid/hybrid "
-                      "simulation tier (see docs/FLUID.md)")
-    fluid_cli.add_arguments(fluid)
-    fluid.set_defaults(fn=_cmd_fluid)
 
-    from repro.exec import cli as exec_cli
-
-    suite = sub.add_parser(
-        "suite", help="run the experiment suite (E01-E26) across worker "
-                      "processes with result caching (see "
-                      "docs/EXECUTION.md)")
-    exec_cli.add_suite_arguments(suite)
-    suite.set_defaults(fn=_cmd_suite)
-
-    sweep = sub.add_parser(
-        "sweep", help="run a declarative parameter grid for one "
-                      "scenario (see docs/EXECUTION.md)")
-    exec_cli.add_sweep_arguments(sweep)
-    sweep.set_defaults(fn=_cmd_sweep)
-
-    from repro.fuzz import cli as fuzz_cli
-
-    fuzz = sub.add_parser(
-        "fuzz", help="generate, judge, shrink, and replay seeded "
-                     "scenarios against the fair-share oracle (see "
-                     "docs/FUZZING.md)")
-    fuzz_cli.add_arguments(fuzz)
-    fuzz.set_defaults(fn=_cmd_fuzz)
-
-    from repro.serve import cli as serve_cli
-
-    serve = sub.add_parser(
-        "serve", help="run the simulation-as-a-service gateway with "
-                      "Phantom-MACR admission control (see "
-                      "docs/SERVING.md)")
-    serve_cli.add_arguments(serve)
-    serve.set_defaults(fn=_cmd_serve)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser.  Every subcommand is named, but only
+    ``command`` gets its arguments, or every one when it is None."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Phantom flow-control reproduction (SIGCOMM 1996)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, fn) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        subparser.set_defaults(fn=fn)
+        if add_arguments is not None and command in (None, name):
+            if isinstance(add_arguments, str):
+                add_arguments = resolve(add_arguments)
+            add_arguments(subparser)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no options of its own, so a valid
+    # invocation names its subcommand first
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     return args.fn(args)
 
 

@@ -17,36 +17,44 @@ script into a schedulable batch:
 See docs/EXECUTION.md for the design and the determinism argument.
 """
 
-from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.exec.fingerprint import (RESULT_VERSION, SourceIndex,
-                                    default_index, task_fingerprint)
-from repro.exec.pool import ExecResult, default_jobs, run_tasks
-from repro.exec.registry import (ScenarioEntry, all_scenarios,
-                                 get_scenario, register_scenario)
-from repro.exec.spec import TaskSpec, canonical_json, derive_seed
-from repro.exec.suite import SUITE, experiment_ids, suite_specs, sweep_specs
-from repro.exec.worker import execute_task
+import importlib
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "DEFAULT_CACHE_DIR",
-    "RESULT_VERSION",
-    "SUITE",
-    "ExecResult",
-    "ResultCache",
-    "ScenarioEntry",
-    "SourceIndex",
-    "TaskSpec",
-    "all_scenarios",
-    "canonical_json",
-    "default_index",
-    "default_jobs",
-    "derive_seed",
-    "execute_task",
-    "experiment_ids",
-    "get_scenario",
-    "register_scenario",
-    "run_tasks",
-    "suite_specs",
-    "sweep_specs",
-    "task_fingerprint",
-]
+# Exports resolve on first use (PEP 562), so a cached replay never loads
+# the worker or the pool's process machinery; see repro/__init__.py.
+if TYPE_CHECKING:
+    from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache
+    from repro.exec.fingerprint import (RESULT_VERSION, SourceIndex,
+                                        default_index, task_fingerprint)
+    from repro.exec.pool import ExecResult, default_jobs, run_tasks
+    from repro.exec.registry import (ScenarioEntry, all_scenarios,
+                                     get_scenario, register_scenario)
+    from repro.exec.spec import TaskSpec, canonical_json, derive_seed
+    from repro.exec.suite import (SUITE, experiment_ids, suite_specs,
+                                  sweep_specs)
+    from repro.exec.worker import execute_task
+
+#: Public name -> the module it is imported from on first use.
+_EXPORTS = {name: module for module, names in {
+    "repro.exec.cache": ("DEFAULT_CACHE_DIR", "ResultCache"),
+    "repro.exec.fingerprint": ("RESULT_VERSION", "SourceIndex",
+                               "default_index", "task_fingerprint"),
+    "repro.exec.pool": ("ExecResult", "default_jobs", "run_tasks"),
+    "repro.exec.registry": ("ScenarioEntry", "all_scenarios",
+                            "get_scenario", "register_scenario"),
+    "repro.exec.spec": ("TaskSpec", "canonical_json", "derive_seed"),
+    "repro.exec.suite": ("SUITE", "experiment_ids", "suite_specs",
+                         "sweep_specs"),
+    "repro.exec.worker": ("execute_task",),
+}.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

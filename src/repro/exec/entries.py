@@ -7,60 +7,71 @@ tables the CLI uses.  Entries return the run handles the scenario
 builders produce (:class:`~repro.scenarios.results.AtmRun` /
 ``TcpRun``), which the worker reduces to metrics and probe digests.
 
+Registering an entry imports nothing from the simulator: each entry
+imports its builder in its own body, and the algorithm and policy
+tables hold dotted names resolved at call time.  So a cached replay,
+which looks entries up but never calls them, stays as cheap as the
+registry itself.
+
 Fingerprint roots: every ATM entry declares ``repro.scenarios.atm`` (or
 the modules it builds from directly) and every TCP entry
 ``repro.scenarios.tcp``; :func:`atm_param_deps` / :func:`tcp_param_deps`
 add the module defining the *chosen* algorithm/policy, so an edit to
-``repro/baselines/capc.py`` invalidates only the CAPC tasks.
+``repro/baselines/capc.py`` invalidates only the CAPC tasks.  The
+fingerprint also covers this whole file (see
+:func:`repro.exec.fingerprint.task_fingerprint`), helpers and tables
+included.
 """
 
 from __future__ import annotations
 
+import importlib
 from functools import partial
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.atm import AbrParams, AtmNetwork
-from repro.baselines import (AprcAlgorithm, CapcAlgorithm, EprcaAlgorithm,
-                             EricaAlgorithm)
-from repro.baselines.aprc import AprcParams
-from repro.baselines.capc import CapcParams
-from repro.baselines.eprca import EprcaParams
-from repro.baselines.erica import EricaParams
-from repro.core import (BinaryPhantomAlgorithm, PhantomAlgorithm,
-                        PhantomParams)
 from repro.exec.registry import register_scenario
-from repro.fluid import hybrid as fluid_hybrid
-from repro.fluid import scenarios as fluid_scenarios
-from repro.scenarios import atm as atm_scenarios
-from repro.scenarios import generic as generic_scenarios
-from repro.scenarios import tcp as tcp_scenarios
-from repro.scenarios.results import AtmRun
 
-#: name -> (algorithm class, params class, defining module).  The module
-#: is the params-derived fingerprint root: choosing ``"capc"`` makes the
-#: task's cache entry sensitive to ``repro/baselines/capc.py`` edits.
-ATM_ALGORITHMS: dict[str, tuple[type, type, str]] = {
-    "phantom": (PhantomAlgorithm, PhantomParams, "repro.core.phantom"),
-    "phantom-binary": (BinaryPhantomAlgorithm, PhantomParams,
-                       "repro.core.phantom_binary"),
-    "eprca": (EprcaAlgorithm, EprcaParams, "repro.baselines.eprca"),
-    "aprc": (AprcAlgorithm, AprcParams, "repro.baselines.aprc"),
-    "capc": (CapcAlgorithm, CapcParams, "repro.baselines.capc"),
-    "erica": (EricaAlgorithm, EricaParams, "repro.baselines.erica"),
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scenarios.results import AtmRun
+
+#: name -> (algorithm class, its params class), as dotted names.  The
+#: algorithm's module is the params-derived fingerprint root: choosing
+#: ``"capc"`` makes the task's cache entry sensitive to
+#: ``repro/baselines/capc.py`` edits.
+ATM_ALGORITHMS: dict[str, tuple[str, str]] = {
+    "phantom": ("repro.core.phantom.PhantomAlgorithm",
+                "repro.core.params.PhantomParams"),
+    "phantom-binary": ("repro.core.phantom_binary.BinaryPhantomAlgorithm",
+                       "repro.core.params.PhantomParams"),
+    "eprca": ("repro.baselines.eprca.EprcaAlgorithm",
+              "repro.baselines.eprca.EprcaParams"),
+    "aprc": ("repro.baselines.aprc.AprcAlgorithm",
+             "repro.baselines.aprc.AprcParams"),
+    "capc": ("repro.baselines.capc.CapcAlgorithm",
+             "repro.baselines.capc.CapcParams"),
+    "erica": ("repro.baselines.erica.EricaAlgorithm",
+              "repro.baselines.erica.EricaParams"),
 }
 
-#: name -> (policy-factory function, defining module).
-TCP_POLICIES: dict[str, tuple[Any, str]] = {
-    "drop-tail": (tcp_scenarios.drop_tail_policy, "repro.tcp.router"),
-    "selective-discard": (tcp_scenarios.selective_discard_policy,
+#: name -> (policy-factory function, defining module), as dotted names.
+TCP_POLICIES: dict[str, tuple[str, str]] = {
+    "drop-tail": ("repro.scenarios.tcp.drop_tail_policy",
+                  "repro.tcp.router"),
+    "selective-discard": ("repro.scenarios.tcp.selective_discard_policy",
                           "repro.tcp.phantom_router"),
-    "quench": (tcp_scenarios.selective_quench_policy,
+    "quench": ("repro.scenarios.tcp.selective_quench_policy",
                "repro.tcp.phantom_router"),
-    "efci": (tcp_scenarios.selective_efci_policy,
+    "efci": ("repro.scenarios.tcp.selective_efci_policy",
              "repro.tcp.phantom_router"),
-    "selective-red": (tcp_scenarios.selective_red_policy,
+    "selective-red": ("repro.scenarios.tcp.selective_red_policy",
                       "repro.tcp.phantom_router"),
 }
+
+
+def resolve(dotted: str) -> Any:
+    """The object a dotted ``module.name`` path names, imported now."""
+    module, _, name = dotted.rpartition(".")
+    return getattr(importlib.import_module(module), name)
 
 
 def _lookup(table: Mapping[str, Any], name: str, what: str):
@@ -75,7 +86,8 @@ def _lookup(table: Mapping[str, Any], name: str, what: str):
 def _algorithm_factory(algorithm: str,
                        algorithm_params: Mapping[str, Any] | None):
     """Zero-arg factory for the named switch algorithm."""
-    cls, params_cls, _ = _lookup(ATM_ALGORITHMS, algorithm, "algorithm")
+    cls, params_cls = map(resolve, _lookup(ATM_ALGORITHMS, algorithm,
+                                           "algorithm"))
     opts = dict(algorithm_params or {})
     # binary Phantom's marking knobs are constructor arguments, not
     # PhantomParams fields
@@ -88,22 +100,31 @@ def _abr_params(session_params: Mapping[str, Any] | None) -> dict:
     """``params=`` kwarg for scenario builders, or nothing for defaults."""
     if session_params is None:
         return {}
+    from repro.atm import AbrParams
+
     return {"params": AbrParams(**session_params)}
 
 
 def _policy_factory(policy: str,
                     policy_params: Mapping[str, Any] | None):
     """Picklable policy factory for the named router mechanism."""
-    factory_fn, _ = _lookup(TCP_POLICIES, policy, "policy")
+    factory_fn = resolve(_lookup(TCP_POLICIES, policy, "policy")[0])
     opts = dict(policy_params or {})
     if "params" in opts:
+        from repro.core.params import PhantomParams
+
         opts["params"] = PhantomParams(**opts["params"])
     return factory_fn(**opts)
 
 
+def _algorithm_module(algorithm: str) -> str:
+    """The module defining the named algorithm: its fingerprint root."""
+    return _lookup(ATM_ALGORITHMS, algorithm,
+                   "algorithm")[0].rpartition(".")[0]
+
+
 def atm_param_deps(params: dict) -> tuple[str, ...]:
-    algorithm = params.get("algorithm", "phantom")
-    return (_lookup(ATM_ALGORITHMS, algorithm, "algorithm")[2],)
+    return (_algorithm_module(params.get("algorithm", "phantom")),)
 
 
 def tcp_param_deps(params: dict) -> tuple[str, ...]:
@@ -120,7 +141,9 @@ def atm_staggered(algorithm: str = "phantom",
                   n_sessions: int = 2, stagger: float = 0.03,
                   duration: float = 0.25,
                   link_rate: float = 150.0) -> AtmRun:
-    return atm_scenarios.staggered_start(
+    from repro.scenarios.atm import staggered_start
+
+    return staggered_start(
         _algorithm_factory(algorithm, algorithm_params),
         n_sessions=n_sessions, stagger=stagger, duration=duration,
         link_rate=link_rate, **_abr_params(session_params))
@@ -131,7 +154,9 @@ def atm_rtt(algorithm: str = "phantom",
             session_params: Mapping[str, Any] | None = None,
             access_delays: Sequence[float] = (1e-5, 5e-4, 2e-3),
             duration: float = 0.3, link_rate: float = 150.0) -> AtmRun:
-    return atm_scenarios.rtt_spread(
+    from repro.scenarios.atm import rtt_spread
+
+    return rtt_spread(
         _algorithm_factory(algorithm, algorithm_params),
         access_delays=tuple(access_delays), duration=duration,
         link_rate=link_rate, **_abr_params(session_params))
@@ -143,7 +168,9 @@ def atm_onoff(algorithm: str = "phantom",
               greedy: int = 1, bursty: int = 2, on_time: float = 0.02,
               off_time: float = 0.02, duration: float = 0.4,
               link_rate: float = 150.0, seed: int | None = 7) -> AtmRun:
-    return atm_scenarios.on_off(
+    from repro.scenarios.atm import on_off
+
+    return on_off(
         _algorithm_factory(algorithm, algorithm_params),
         greedy=greedy, bursty=bursty, on_time=on_time, off_time=off_time,
         duration=duration, link_rate=link_rate, seed=seed,
@@ -155,7 +182,9 @@ def atm_parking(algorithm: str = "phantom",
                 session_params: Mapping[str, Any] | None = None,
                 hops: int = 3, duration: float = 0.3,
                 link_rate: float = 150.0) -> AtmRun:
-    return atm_scenarios.parking_lot(
+    from repro.scenarios.atm import parking_lot
+
+    return parking_lot(
         _algorithm_factory(algorithm, algorithm_params),
         hops=hops, duration=duration, link_rate=link_rate,
         **_abr_params(session_params))
@@ -167,7 +196,9 @@ def atm_transient(algorithm: str = "phantom",
                   duration: float = 0.4, join_at: float = 0.1,
                   leave_at: float = 0.25,
                   link_rate: float = 150.0) -> AtmRun:
-    return atm_scenarios.transient(
+    from repro.scenarios.atm import transient
+
+    return transient(
         _algorithm_factory(algorithm, algorithm_params),
         duration=duration, join_at=join_at, leave_at=leave_at,
         link_rate=link_rate, **_abr_params(session_params))
@@ -180,6 +211,9 @@ def atm_background(algorithm: str = "phantom",
                    duration: float = 0.45,
                    link_rate: float = 150.0) -> AtmRun:
     """ABR sessions sharing a trunk with a guaranteed CBR stream (E23)."""
+    from repro.atm import AtmNetwork
+    from repro.scenarios.results import AtmRun
+
     net = AtmNetwork(
         algorithm_factory=_algorithm_factory(algorithm, algorithm_params),
         link_rate=link_rate)
@@ -202,6 +236,9 @@ def atm_weighted(algorithm: str = "phantom",
                  duration: float = 0.3,
                  link_rate: float = 150.0) -> AtmRun:
     """Weighted-Phantom fair-share split over one trunk (E25)."""
+    from repro.atm import AbrParams, AtmNetwork
+    from repro.scenarios.results import AtmRun
+
     if weights is None:
         weights = {"w1": 1.0, "w2": 2.0, "w4": 4.0}
     net = AtmNetwork(
@@ -228,7 +265,9 @@ def fuzz_generic(config: Mapping[str, Any],
     ``config`` mapping; only the algorithm name/params are resolved
     here, against the same table the hand-written entries use.
     """
-    return generic_scenarios.build_atm(
+    from repro.scenarios.generic import build_atm
+
+    return build_atm(
         config,
         algorithm_factory=_algorithm_factory(
             config.get("algorithm", "phantom"),
@@ -238,8 +277,7 @@ def fuzz_generic(config: Mapping[str, Any],
 
 def fuzz_param_deps(params: dict) -> tuple[str, ...]:
     config = params.get("config") or {}
-    algorithm = config.get("algorithm", "phantom")
-    return (_lookup(ATM_ALGORITHMS, algorithm, "algorithm")[2],)
+    return (_algorithm_module(config.get("algorithm", "phantom")),)
 
 
 # ----------------------------------------------------------------------
@@ -249,6 +287,8 @@ def _phantom_params(phantom_params: Mapping[str, Any] | None):
     """``phantom=`` kwarg for fluid builders, or nothing for defaults."""
     if phantom_params is None:
         return {}
+    from repro.core.params import PhantomParams
+
     return {"phantom": PhantomParams(**phantom_params)}
 
 
@@ -259,7 +299,9 @@ def fluid_staggered(n_sessions: int = 2, stagger: float = 0.03,
                     rm_loss: float = 0.0,
                     session_params: Mapping[str, Any] | None = None,
                     phantom_params: Mapping[str, Any] | None = None):
-    return fluid_scenarios.staggered_start(
+    from repro.fluid.scenarios import staggered_start
+
+    return staggered_start(
         n_sessions=n_sessions, stagger=stagger, duration=duration,
         link_rate=link_rate, flows_per_session=flows_per_session,
         mode=mode, use_ni=use_ni, ni_fraction=ni_fraction,
@@ -273,7 +315,9 @@ def fluid_onoff(greedy: int = 1, bursty: int = 2, on_time: float = 0.02,
                 seed: int | None = 7,
                 session_params: Mapping[str, Any] | None = None,
                 phantom_params: Mapping[str, Any] | None = None):
-    return fluid_scenarios.on_off(
+    from repro.fluid.scenarios import on_off
+
+    return on_off(
         greedy=greedy, bursty=bursty, on_time=on_time,
         off_time=off_time, duration=duration, link_rate=link_rate,
         flows_per_session=flows_per_session, seed=seed,
@@ -284,7 +328,9 @@ def fluid_parking(hops: int = 3, duration: float = 0.3,
                   link_rate: float = 150.0, flows_per_session: int = 1,
                   session_params: Mapping[str, Any] | None = None,
                   phantom_params: Mapping[str, Any] | None = None):
-    return fluid_scenarios.parking_lot(
+    from repro.fluid.scenarios import parking_lot
+
+    return parking_lot(
         hops=hops, duration=duration, link_rate=link_rate,
         flows_per_session=flows_per_session,
         **_abr_params(session_params), **_phantom_params(phantom_params))
@@ -295,7 +341,9 @@ def fluid_transient(duration: float = 0.4, join_at: float = 0.1,
                     flows_per_session: int = 1,
                     session_params: Mapping[str, Any] | None = None,
                     phantom_params: Mapping[str, Any] | None = None):
-    return fluid_scenarios.transient(
+    from repro.fluid.scenarios import transient
+
+    return transient(
         duration=duration, join_at=join_at, leave_at=leave_at,
         link_rate=link_rate, flows_per_session=flows_per_session,
         **_abr_params(session_params), **_phantom_params(phantom_params))
@@ -307,7 +355,9 @@ def fluid_many(cohorts: int = 1000, flows_per_cohort: int = 1000,
                record_cohorts: bool = False,
                session_params: Mapping[str, Any] | None = None,
                phantom_params: Mapping[str, Any] | None = None):
-    return fluid_scenarios.many_flows(
+    from repro.fluid.scenarios import many_flows
+
+    return many_flows(
         cohorts=cohorts, flows_per_cohort=flows_per_cohort,
         greedy=greedy, background_load=background_load,
         duration=duration, link_rate=link_rate,
@@ -321,7 +371,9 @@ def fluid_hybrid_e01(foreground: int = 2, background: int = 500,
                      link_rate: float = 150.0,
                      session_params: Mapping[str, Any] | None = None,
                      phantom_params: Mapping[str, Any] | None = None):
-    return fluid_hybrid.hybrid_staggered(
+    from repro.fluid.hybrid import hybrid_staggered
+
+    return hybrid_staggered(
         foreground=foreground, background=background,
         background_demand_mbps=background_demand_mbps, stagger=stagger,
         duration=duration, link_rate=link_rate,
@@ -335,7 +387,9 @@ def tcp_rtt(policy: str = "selective-discard",
             policy_params: Mapping[str, Any] | None = None,
             access_delays: Sequence[float] = (1e-3, 4e-3),
             duration: float = 30.0, trunk_rate: float = 10.0):
-    return tcp_scenarios.rtt_fairness(
+    from repro.scenarios.tcp import rtt_fairness
+
+    return rtt_fairness(
         _policy_factory(policy, policy_params),
         access_delays=tuple(access_delays), duration=duration,
         trunk_rate=trunk_rate)
@@ -345,7 +399,9 @@ def tcp_parking(policy: str = "selective-discard",
                 policy_params: Mapping[str, Any] | None = None,
                 hops: int = 3, duration: float = 30.0,
                 trunk_rate: float = 10.0):
-    return tcp_scenarios.tcp_parking_lot(
+    from repro.scenarios.tcp import tcp_parking_lot
+
+    return tcp_parking_lot(
         _policy_factory(policy, policy_params),
         hops=hops, duration=duration, trunk_rate=trunk_rate)
 
@@ -354,7 +410,9 @@ def tcp_many(policy: str = "selective-discard",
              policy_params: Mapping[str, Any] | None = None,
              n_flows: int = 4, duration: float = 30.0,
              trunk_rate: float = 10.0, access_delay: float = 2e-3):
-    return tcp_scenarios.many_flows(
+    from repro.scenarios.tcp import many_flows
+
+    return many_flows(
         _policy_factory(policy, policy_params),
         n_flows=n_flows, duration=duration, trunk_rate=trunk_rate,
         access_delay=access_delay)
@@ -365,7 +423,9 @@ def tcp_vegas(policy: str = "selective-discard",
               hungry: Sequence[float] = (8.0, 10.0),
               modest: Sequence[float] = (1.0, 2.0),
               duration: float = 30.0, trunk_rate: float = 10.0):
-    return tcp_scenarios.vegas_thresholds(
+    from repro.scenarios.tcp import vegas_thresholds
+
+    return vegas_thresholds(
         _policy_factory(policy, policy_params),
         hungry=tuple(hungry), modest=tuple(modest), duration=duration,
         trunk_rate=trunk_rate)
@@ -374,7 +434,9 @@ def tcp_vegas(policy: str = "selective-discard",
 def tcp_mixed(policy: str = "selective-discard",
               policy_params: Mapping[str, Any] | None = None,
               duration: float = 30.0, trunk_rate: float = 10.0):
-    return tcp_scenarios.mixed_stacks(
+    from repro.scenarios.tcp import mixed_stacks
+
+    return mixed_stacks(
         _policy_factory(policy, policy_params),
         duration=duration, trunk_rate=trunk_rate)
 
@@ -383,7 +445,9 @@ def tcp_twoway(policy: str = "selective-discard",
                policy_params: Mapping[str, Any] | None = None,
                flows_per_direction: int = 2, duration: float = 30.0,
                trunk_rate: float = 10.0):
-    return tcp_scenarios.two_way(
+    from repro.scenarios.tcp import two_way
+
+    return two_way(
         _policy_factory(policy, policy_params),
         flows_per_direction=flows_per_direction, duration=duration,
         trunk_rate=trunk_rate)

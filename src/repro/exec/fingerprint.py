@@ -14,6 +14,11 @@ closure contains it — the TCP tasks — while the ATM tasks keep their
 cache entries; editing ``repro/sim/engine.py`` (reachable from
 everything) invalidates the world, as it must.
 
+The entry's own defining file is hashed whole, so module-level
+helpers and tables every entry calls (:mod:`repro.exec.entries`'
+algorithm and policy tables, its parameter builders) are covered too;
+the price is that any edit to that file re-runs all of its entries.
+
 The executor/worker harness itself is *not* part of the closure; its
 result-format compatibility is versioned explicitly through
 ``RESULT_VERSION`` (bump it when the payload layout or digesting
@@ -56,7 +61,8 @@ class SourceIndex:
             root = Path(repro.__file__).parent
         self.root = Path(root)
         self.package = package
-        self._digests: dict[str, str] = {}
+        self._paths: dict[str, Path | None] = {}
+        self._digests: dict[Path, str] = {}
         self._imports: dict[str, tuple[str, ...]] = {}
         self._closures: dict[tuple[str, ...], dict[str, str]] = {}
 
@@ -65,6 +71,11 @@ class SourceIndex:
     # ------------------------------------------------------------------
     def module_path(self, modname: str) -> Path | None:
         """File backing ``modname``, or None when it is not ours."""
+        if modname not in self._paths:
+            self._paths[modname] = self._find(modname)
+        return self._paths[modname]
+
+    def _find(self, modname: str) -> Path | None:
         parts = modname.split(".")
         if parts[0] != self.package:
             return None
@@ -143,14 +154,19 @@ class SourceIndex:
     # ------------------------------------------------------------------
     def digest(self, modname: str) -> str:
         """sha256 of the module's source bytes."""
-        if modname not in self._digests:
-            path = self.module_path(modname)
-            if path is None:
-                raise KeyError(f"module {modname!r} not found under "
-                               f"{self.root}")
-            self._digests[modname] = hashlib.sha256(
+        path = self.module_path(modname)
+        if path is None:
+            raise KeyError(f"module {modname!r} not found under "
+                           f"{self.root}")
+        return self.file_digest(path)
+
+    def file_digest(self, path: str | Path) -> str:
+        """sha256 of a source file's bytes (any file, not only ours)."""
+        path = Path(path)
+        if path not in self._digests:
+            self._digests[path] = hashlib.sha256(
                 path.read_bytes()).hexdigest()
-        return self._digests[modname]
+        return self._digests[path]
 
     # ------------------------------------------------------------------
     # import graph
@@ -165,7 +181,7 @@ class SourceIndex:
             tree = ast.parse(path.read_text(encoding="utf-8"),
                              filename=str(path))
             found: set[str] = set()
-            for node in ast.walk(tree):
+            for node in _statements(tree.body):
                 if isinstance(node, ast.Import):
                     for alias in node.names:
                         self._add_internal(alias.name, found)
@@ -236,6 +252,27 @@ class SourceIndex:
         return self._closures[key]
 
 
+#: Statement-list fields of compound statements (``if``/``try``/``with``
+#: blocks, loops, ``def``/``class`` bodies, ``except`` handlers,
+#: ``match`` cases).
+_BLOCKS = ("body", "orelse", "finalbody", "handlers", "cases")
+
+
+def _statements(body: list[ast.AST]) -> Iterable[ast.AST]:
+    """Every statement in ``body``, nested blocks included.
+
+    ``import`` is a statement, so this finds every import ``ast.walk``
+    would, without visiting the expression nodes that make up most of a
+    module's tree.
+    """
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        yield node
+        for field in _BLOCKS:
+            stack.extend(getattr(node, field, ()))
+
+
 _DEFAULT_INDEX: SourceIndex | None = None
 
 
@@ -247,22 +284,34 @@ def default_index() -> SourceIndex:
     return _DEFAULT_INDEX
 
 
+def task_roots(spec: TaskSpec, entry: "ScenarioEntry | None" = None
+               ) -> list[str]:
+    """The task's fingerprint root modules: the entry's declared deps
+    plus the ones its params choose."""
+    from repro.exec.registry import get_scenario
+
+    if entry is None:
+        entry = get_scenario(spec.scenario)
+    roots = list(entry.deps)
+    if entry.param_deps is not None:
+        roots.extend(entry.param_deps(spec.effective_params()))
+    return roots
+
+
 def task_fingerprint(spec: TaskSpec, entry: "ScenarioEntry | None" = None,
                      index: SourceIndex | None = None) -> str:
-    """Content address of one task: spec + entry source + dep sources."""
+    """Content address of one task: spec + entry's defining file + dep
+    sources."""
     from repro.exec.registry import get_scenario
 
     if entry is None:
         entry = get_scenario(spec.scenario)
     if index is None:
         index = default_index()
-    roots = list(entry.deps)
-    if entry.param_deps is not None:
-        roots.extend(entry.param_deps(spec.effective_params()))
     material = {
         "result_version": RESULT_VERSION,
         "spec": spec.canonical(),
-        "entry": inspect.getsource(entry.fn),
-        "deps": index.closure(roots),
+        "entry": index.file_digest(inspect.getsourcefile(entry.fn)),
+        "deps": index.closure(task_roots(spec, entry)),
     }
     return hashlib.sha256(canonical_json(material).encode()).hexdigest()

@@ -24,18 +24,21 @@ re-attempted within the same retry budget.
 
 from __future__ import annotations
 
+import importlib
 import os
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, \
-    ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from multiprocessing import get_all_start_methods, get_context
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.exec.cache import ResultCache
-from repro.exec.fingerprint import SourceIndex, task_fingerprint
+from repro.exec.fingerprint import SourceIndex, task_fingerprint, task_roots
 from repro.exec.spec import TaskSpec
-from repro.exec.worker import execute_task
-from repro.sim.probe import Probe
+
+# The worker, the simulator and the process machinery load only when a
+# task runs, so a fully cached batch never imports them.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.sim.probe import Probe
 
 #: Hard ceiling on ``default_jobs`` — simulations are CPU-bound, and
 #: beyond the core count extra workers only add memory pressure.
@@ -96,6 +99,8 @@ class ExecResult:
         worker; JSON round-trips floats exactly (shortest-repr), so the
         rebuilt series is bit-identical to the in-process one.
         """
+        from repro.sim.probe import Probe
+
         if not self.ok:
             raise ValueError(
                 f"task {self.spec.task_id!r} has no series "
@@ -184,6 +189,8 @@ def run_tasks(specs: Iterable[TaskSpec], *, jobs: int | None = None,
 # ----------------------------------------------------------------------
 def _run_serial(to_run, *, jobs: int, timeout: float | None,
                 retries: int):
+    from repro.exec.worker import execute_task
+
     del jobs
     for i, spec, fingerprint in to_run:
         attempts = 0
@@ -197,6 +204,9 @@ def _run_serial(to_run, *, jobs: int, timeout: float | None,
 
 
 def _make_pool(jobs: int) -> ProcessPoolExecutor:
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_all_start_methods, get_context
+
     # fork keeps already-imported modules (and any test-registered
     # scenario entries) available in the workers; elsewhere the default
     # start method re-imports the registry's builtin entries on demand.
@@ -212,8 +222,27 @@ def _duration_hint(spec: TaskSpec) -> float:
     return float(value) if isinstance(value, (int, float)) else 0.0
 
 
+def _import_roots(to_run) -> None:
+    """Import what the tasks will run before forking, so the workers
+    inherit it instead of each compiling the simulator again."""
+    for _, spec, _ in to_run:
+        try:
+            for root in task_roots(spec):
+                importlib.import_module(root)
+        except Exception:
+            # an unknown scenario or algorithm, or a module that fails
+            # to import, fails again in the task's worker, which returns
+            # the error as the task's result
+            continue
+
+
 def _run_parallel(to_run, *, jobs: int, timeout: float | None,
                   retries: int):
+    from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+
+    from repro.exec.worker import execute_task
+
+    _import_roots(to_run)
     pool = _make_pool(jobs)
     pending: dict[Any, tuple[int, TaskSpec, str | None, int]] = {}
 

@@ -21,74 +21,69 @@ and with one installed the simulated outcome is bit-identical — the
 golden-trace suite asserts both.
 """
 
-from repro.obs.chrome import (COUNTER_FIELDS, chrome_events, chrome_trace,
-                              write_chrome_trace)
-from repro.obs.health import (HEALTH_SCHEMA, HEALTH_VERSION,
-                              SUITE_HEALTH_SCHEMA, build_health,
-                              merge_health, oracle_allocation,
-                              validate_health, verdict_of)
-from repro.obs.manifest import (MANIFEST_SCHEMA, MANIFEST_VERSION,
-                                build_manifest, diff_manifests,
-                                git_revision, read_manifest,
-                                validate_manifest, write_manifest)
-from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
-                               MetricsRegistry, registry_from_run)
-from repro.obs.monitor import (DEFAULT_EPS, DropWatch, QueueWatch, attach,
-                               conservation_check, convergence_check,
-                               detach, fairness_gap_check,
-                               oscillation_check, queue_bound_check,
-                               vandalore_bound)
-from repro.obs.trace import (CATEGORIES, TRACE_SCHEMA, TRACE_VERSION,
-                             Tracer, event_dicts, read_trace_jsonl,
-                             summarize_events, trace_header,
-                             validate_trace_jsonl, write_trace_jsonl)
+import importlib
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CATEGORIES",
-    "COUNTER_FIELDS",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_EPS",
-    "HEALTH_SCHEMA",
-    "HEALTH_VERSION",
-    "MANIFEST_SCHEMA",
-    "MANIFEST_VERSION",
-    "SUITE_HEALTH_SCHEMA",
-    "TRACE_SCHEMA",
-    "TRACE_VERSION",
-    "Counter",
-    "DropWatch",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "QueueWatch",
-    "Tracer",
-    "attach",
-    "build_health",
-    "build_manifest",
-    "chrome_events",
-    "chrome_trace",
-    "conservation_check",
-    "convergence_check",
-    "detach",
-    "diff_manifests",
-    "event_dicts",
-    "fairness_gap_check",
-    "git_revision",
-    "merge_health",
-    "oracle_allocation",
-    "oscillation_check",
-    "queue_bound_check",
-    "read_manifest",
-    "read_trace_jsonl",
-    "registry_from_run",
-    "summarize_events",
-    "trace_header",
-    "validate_health",
-    "validate_manifest",
-    "validate_trace_jsonl",
-    "vandalore_bound",
-    "verdict_of",
-    "write_chrome_trace",
-    "write_manifest",
-    "write_trace_jsonl",
-]
+# Exports resolve on first use (PEP 562), so `repro suite --health`
+# loads the health judge without the tracer, manifests or exporters;
+# see repro/__init__.py.
+if TYPE_CHECKING:
+    from repro.obs.chrome import (COUNTER_FIELDS, chrome_events,
+                                  chrome_trace, write_chrome_trace)
+    from repro.obs.health import (HEALTH_SCHEMA, HEALTH_VERSION,
+                                  SUITE_HEALTH_SCHEMA, build_health,
+                                  merge_health, oracle_allocation,
+                                  validate_health, verdict_of)
+    from repro.obs.manifest import (MANIFEST_SCHEMA, MANIFEST_VERSION,
+                                    build_manifest, diff_manifests,
+                                    git_revision, read_manifest,
+                                    validate_manifest, write_manifest)
+    from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Gauge,
+                                   Histogram, MetricsRegistry,
+                                   registry_from_run)
+    from repro.obs.monitor import (DEFAULT_EPS, DropWatch, QueueWatch,
+                                   attach, conservation_check,
+                                   convergence_check, detach,
+                                   fairness_gap_check, oscillation_check,
+                                   queue_bound_check, vandalore_bound)
+    from repro.obs.trace import (CATEGORIES, TRACE_SCHEMA, TRACE_VERSION,
+                                 Tracer, event_dicts, read_trace_jsonl,
+                                 summarize_events, trace_header,
+                                 validate_trace_jsonl, write_trace_jsonl)
+
+#: Public name -> the module it is imported from on first use.
+_EXPORTS = {name: module for module, names in {
+    "repro.obs.chrome": ("COUNTER_FIELDS", "chrome_events", "chrome_trace",
+                         "write_chrome_trace"),
+    "repro.obs.health": ("HEALTH_SCHEMA", "HEALTH_VERSION",
+                         "SUITE_HEALTH_SCHEMA", "build_health",
+                         "merge_health", "oracle_allocation",
+                         "validate_health", "verdict_of"),
+    "repro.obs.manifest": ("MANIFEST_SCHEMA", "MANIFEST_VERSION",
+                           "build_manifest", "diff_manifests",
+                           "git_revision", "read_manifest",
+                           "validate_manifest", "write_manifest"),
+    "repro.obs.metrics": ("DEFAULT_BUCKETS", "Counter", "Gauge",
+                          "Histogram", "MetricsRegistry",
+                          "registry_from_run"),
+    "repro.obs.monitor": ("DEFAULT_EPS", "DropWatch", "QueueWatch",
+                          "attach", "conservation_check",
+                          "convergence_check", "detach",
+                          "fairness_gap_check", "oscillation_check",
+                          "queue_bound_check", "vandalore_bound"),
+    "repro.obs.trace": ("CATEGORIES", "TRACE_SCHEMA", "TRACE_VERSION",
+                        "Tracer", "event_dicts", "read_trace_jsonl",
+                        "summarize_events", "trace_header",
+                        "validate_trace_jsonl", "write_trace_jsonl"),
+}.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -102,6 +102,18 @@ def test_unknown_scenario_is_an_error_result():
     assert "unknown scenario" in res.error
 
 
+def test_unresolvable_specs_are_error_results_in_parallel():
+    # run_tasks imports each task's modules before forking; a spec whose
+    # modules cannot be resolved must still come back as data
+    bad = [TaskSpec(task_id="x", scenario="atm.nope"),
+           TaskSpec(task_id="y", scenario="atm.staggered",
+                    params={"algorithm": "nope", "duration": 0.01})]
+    results = run_tasks(bad, jobs=2, retries=0)
+    assert [r.status for r in results] == ["error", "error"]
+    assert "unknown scenario" in results[0].error
+    assert "unknown algorithm" in results[1].error
+
+
 def test_timeouts_are_reported_not_raised(scratch_registry):
     register_scenario("atm.spin", spins_forever, kind="atm")
     spin = TaskSpec(task_id="spin", scenario="atm.spin")
