@@ -269,8 +269,11 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         print(f"\nrecorded {len(entry['workloads'])} workload(s) in "
               f"{args.history}")
     if args.output:
-        perf.write_report(args.output, report)
-        print(f"\nwrote {args.output}")
+        perf.merge_report(args.output, "workloads", report["workloads"],
+                          python=report["python"],
+                          machine=report["machine"])
+        print(f"\nrecorded {len(report['workloads'])} workload(s) in "
+              f"{args.output}")
         # companion run manifest, so every benchmark number carries its
         # provenance (parameters, git rev, platform)
         from repro import obs
@@ -374,7 +377,9 @@ def _add_perf_arguments(perf: argparse.ArgumentParser) -> None:
     perf.add_argument("--repeats", type=int, default=1,
                       help="best-of-N wall-time measurement (default 1)")
     perf.add_argument("--output", default="BENCH_perf.json",
-                      help="report file to write; use '' to skip writing")
+                      help="report file to merge the measured rows into "
+                           "(other rows and sections are kept); use '' "
+                           "to skip writing")
     perf.add_argument("--check", action="store_true",
                       help="fail (exit 1) on wall/sim-sec regression "
                            "against --baseline")

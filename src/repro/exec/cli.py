@@ -313,21 +313,16 @@ def _record_bench(path: str, results: Sequence[ExecResult],
     """Merge suite wall/cache numbers into a BENCH_perf.json report."""
     from repro import perf
 
-    try:
-        report = perf.read_report(path)
-    except (OSError, ValueError):
-        report = {}
     # cpus is recorded because it decides whether -jN can help at all:
     # on a single-core machine j4 pays pool + pickling overhead for no
     # parallelism and lands *slower* than j1 (see docs/PERFORMANCE.md)
-    report.setdefault("suite", {})[f"j{jobs}"] = {
+    perf.merge_report(path, "suite", {f"j{jobs}": {
         "scale": scale,
         "tasks": len(results),
         "cached": sum(1 for r in results if r.cached),
         "cpus": os.cpu_count(),
         "wall_s": round(wall_s, 2),
-    }
-    perf.write_report(path, report)
+    }})
     print(f"recorded suite timing in {path}")
 
 

@@ -23,15 +23,30 @@ The executor/worker harness itself is *not* part of the closure; its
 result-format compatibility is versioned explicitly through
 ``RESULT_VERSION`` (bump it when the payload layout or digesting
 changes, and every cache entry ages out at once).
+
+Finding a module's imports takes two steps.  A *scan*
+(:func:`scan_imports`) lists the file's import statements; it depends
+on the file's bytes alone, so a store bound to the result-cache
+directory (:meth:`SourceIndex.bind_store`) keeps scans across processes,
+keyed by file digest, and a fresh process parses only the files that
+changed.  *Resolving* a scan against the tree (relative anchors,
+package-ness, whether ``from pkg import name`` names a submodule) runs
+in every process, because adding a module changes what an unchanged
+importer resolves to.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
 import inspect
+import json
+import os
+import sys
+import threading
 from pathlib import Path
-from typing import Iterable, TYPE_CHECKING
+from typing import Any, Iterable, TYPE_CHECKING
 
 from repro.exec.spec import TaskSpec, canonical_json
 
@@ -43,6 +58,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: cache entries wholesale.
 RESULT_VERSION = 2  # v2: payloads carry the repro.obs.health report
 
+#: Layout of a stored scan; bump it when :func:`scan_imports` changes
+#: what it records, and every stored scan reads as absent.
+SCAN_VERSION = 1
+
+#: File name of the scan store inside a result-cache directory.
+SCAN_STORE = "import-scans.json"
+
+#: One import statement: ``(kind, level, module, names)``.  ``kind`` is
+#: ``"import"`` (``names`` are the dotted modules it imports) or
+#: ``"from"`` (``level`` and ``module`` as in :class:`ast.ImportFrom`).
+Statement = tuple[str, int, "str | None", tuple[str, ...]]
+
+#: Syntax trees, and so scans, may differ between interpreter versions.
+_PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
+
 
 class SourceIndex:
     """Digests and import closures over one on-disk package tree.
@@ -50,7 +80,8 @@ class SourceIndex:
     The default instance indexes the installed ``repro`` package; tests
     point it at copies or synthetic trees.  All lookups are memoised for
     the life of the index (one CLI invocation / one test), so a batch of
-    specs pays for each module parse once.
+    specs pays for each module parse once; with a store bound, once per
+    file content across processes.
     """
 
     def __init__(self, root: str | Path | None = None,
@@ -65,6 +96,16 @@ class SourceIndex:
         self._digests: dict[Path, str] = {}
         self._imports: dict[str, tuple[str, ...]] = {}
         self._closures: dict[tuple[str, ...], dict[str, str]] = {}
+        #: module -> (digest of the bytes scanned, their scan)
+        self._scans: dict[str, tuple[str, tuple[Statement, ...]]] = {}
+        #: The bound store file, and the scans it held when last read or
+        #: written (None until read).
+        self._store: Path | None = None
+        self._stored: dict[str, tuple[str, tuple[Statement, ...]]] | None \
+            = None
+        #: Guards ``_scans`` and the store fields: the gateway's slot
+        #: threads share one index.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # module resolution
@@ -178,29 +219,23 @@ class SourceIndex:
             if path is None:
                 raise KeyError(f"module {modname!r} not found under "
                                f"{self.root}")
-            tree = ast.parse(path.read_text(encoding="utf-8"),
-                             filename=str(path))
             found: set[str] = set()
-            for node in _statements(tree.body):
-                if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        self._add_internal(alias.name, found)
-                elif isinstance(node, ast.ImportFrom):
-                    base = self._from_base(modname, node)
-                    if base is None:
-                        continue
-                    self._add_internal(base, found)
-                    for alias in node.names:
-                        sub = f"{base}.{alias.name}"
-                        if self.module_path(sub) is not None:
-                            found.add(sub)
+            for kind, level, module, names in self._scan(modname, path):
+                if kind == "import":
+                    found.update(name for name in names
+                                 if self.module_path(name) is not None)
+                    continue
+                base = self._from_base(modname, level, module)
+                if base is None:
+                    continue
+                if self.module_path(base) is not None:
+                    found.add(base)
+                found.update(f"{base}.{name}" for name in names
+                             if self.module_path(f"{base}.{name}")
+                             is not None)
             found.discard(modname)
             self._imports[modname] = tuple(sorted(found))
         return self._imports[modname]
-
-    def _add_internal(self, modname: str, found: set[str]) -> None:
-        if self.module_path(modname) is not None:
-            found.add(modname)
 
     def resolve_import_from(self, modname: str,
                             node: ast.ImportFrom) -> str | None:
@@ -212,22 +247,23 @@ class SourceIndex:
         tier's alias maps, which must agree with the fingerprint
         walker's resolution exactly.
         """
-        return self._from_base(modname, node)
+        return self._from_base(modname, node.level, node.module)
 
-    def _from_base(self, modname: str, node: ast.ImportFrom) -> str | None:
+    def _from_base(self, modname: str, level: int,
+                   module: str | None) -> str | None:
         """Absolute module a ``from ... import`` pulls from, or None."""
-        if node.level == 0:
-            return node.module
+        if level == 0:
+            return module
         # relative import: anchor at the containing package
         anchor = modname.split(".")
         if not self.is_package(modname):
             anchor = anchor[:-1]
-        if node.level - 1 > 0:
-            anchor = anchor[:len(anchor) - (node.level - 1)]
+        if level - 1 > 0:
+            anchor = anchor[:len(anchor) - (level - 1)]
         if not anchor:
             return None
-        return ".".join(anchor + node.module.split(".")) \
-            if node.module else ".".join(anchor)
+        return ".".join(anchor + module.split(".")) \
+            if module else ".".join(anchor)
 
     def closure(self, roots: Iterable[str]) -> dict[str, str]:
         """``module -> source digest`` for the transitive closure."""
@@ -251,6 +287,64 @@ class SourceIndex:
                                    for mod in sorted(seen)}
         return self._closures[key]
 
+    # ------------------------------------------------------------------
+    # import scans and their store
+    # ------------------------------------------------------------------
+    def _scan(self, modname: str, path: Path) -> tuple[Statement, ...]:
+        """The import scan of ``modname``'s current bytes: kept in
+        memory or in the bound store if its digest matches, else
+        parsed."""
+        if self._stored is None and self._store is not None:
+            self._read_store()
+        entry = self._scans.get(modname)
+        if entry is not None and entry[0] == self.file_digest(path):
+            return entry[1]
+        source = path.read_bytes()
+        scan = scan_imports(source, str(path))
+        # keyed by the bytes parsed, which an edit since file_digest
+        # read the file may have changed
+        with self._lock:
+            self._scans[modname] = (hashlib.sha256(source).hexdigest(), scan)
+        return scan
+
+    def bind_store(self, directory: str | Path) -> None:
+        """Keep this index's import scans in ``directory``'s store.
+
+        The store is read on the first scan lookup after binding, and
+        written by :meth:`save_store`.
+        """
+        path = Path(directory) / SCAN_STORE
+        with self._lock:
+            if path != self._store:
+                self._store, self._stored = path, None
+
+    def _read_store(self) -> None:
+        with self._lock:
+            if self._stored is not None or self._store is None:
+                return
+            self._stored = _read_scans(self._store)
+            for modname, entry in self._stored.items():
+                self._scans.setdefault(modname, entry)
+
+    def save_store(self) -> None:
+        """Write the scans to the bound store if they differ from what
+        it held, so a run that parsed nothing writes nothing.
+
+        Scans of modules no longer in the tree are dropped, which
+        bounds the store by the tree's module count.  A failed write is
+        ignored: the next process parses again, and its results are the
+        same.  Writes hold the lock, so an older snapshot never lands
+        after a newer one.
+        """
+        with self._lock:
+            if self._stored is None or self._scans == self._stored:
+                return
+            for modname in [m for m in self._scans
+                            if self.module_path(m) is None]:
+                del self._scans[modname]
+            self._stored = dict(self._scans)
+            _write_scans(self._store, self._stored)
+
 
 #: Statement-list fields of compound statements (``if``/``try``/``with``
 #: blocks, loops, ``def``/``class`` bodies, ``except`` handlers,
@@ -271,6 +365,72 @@ def _statements(body: list[ast.AST]) -> Iterable[ast.AST]:
         yield node
         for field in _BLOCKS:
             stack.extend(getattr(node, field, ()))
+
+
+def scan_imports(source: bytes, filename: str) -> tuple[Statement, ...]:
+    """Every distinct import statement of one source file, in walk
+    order.  Depends on ``source`` alone: resolving a statement against
+    a tree is :meth:`SourceIndex.imports_of`'s job."""
+    found: dict[Statement, None] = {}
+    for node in _statements(ast.parse(source, filename=filename).body):
+        if isinstance(node, ast.Import):
+            found["import", 0, None,
+                  tuple(alias.name for alias in node.names)] = None
+        elif isinstance(node, ast.ImportFrom):
+            found["from", node.level, node.module,
+                  tuple(alias.name for alias in node.names)] = None
+    return tuple(found)
+
+
+def _read_scans(path: Path) -> dict[str, tuple[str, tuple[Statement, ...]]]:
+    """The scans in the store at ``path``; empty when it is missing,
+    unreadable, malformed or written for another version."""
+    try:
+        data = json.loads(path.read_bytes())
+        if (data["scan_version"] != SCAN_VERSION
+                or data["python"] != _PYTHON):
+            return {}
+        return {modname: (_checked(entry["digest"], str),
+                          tuple(map(_statement, entry["imports"])))
+                for modname, entry in data["modules"].items()}
+    except (OSError, ValueError, TypeError, KeyError, AttributeError):
+        return {}
+
+
+def _statement(row: Any) -> Statement:
+    kind, level, module, names = row
+    if (kind not in ("import", "from") or type(level) is not int
+            or level < 0 or not isinstance(module, (str, type(None)))):
+        raise ValueError(f"malformed import scan row {row!r}")
+    return kind, level, module, tuple(_checked(name, str)
+                                      for name in _checked(names, list))
+
+
+def _checked(value: Any, kind: type) -> Any:
+    if not isinstance(value, kind):
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _write_scans(path: Path,
+                 scans: dict[str, tuple[str, tuple[Statement, ...]]]
+                 ) -> None:
+    """Atomically replace the store at ``path`` with ``scans``."""
+    data = {"scan_version": SCAN_VERSION, "python": _PYTHON,
+            "modules": {modname: {"digest": digest, "imports": scan}
+                        for modname, (digest, scan) in scans.items()}}
+    # pid and thread id keep concurrent writers' temp files apart, as
+    # in ResultCache.put
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 _DEFAULT_INDEX: SourceIndex | None = None

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.exec.cache import ResultCache
-from repro.exec.fingerprint import SourceIndex, task_fingerprint, task_roots
+from repro.exec.fingerprint import (SourceIndex, default_index,
+                                    task_fingerprint, task_roots)
 from repro.exec.spec import TaskSpec
 
 # The worker, the simulator and the process machinery load only when a
@@ -159,17 +160,27 @@ def run_tasks(specs: Iterable[TaskSpec], *, jobs: int | None = None,
 
     results: list[ExecResult | None] = [None] * len(specs)
     to_run: list[tuple[int, TaskSpec, str | None]] = []
+    if cache is not None:
+        index = index if index is not None else default_index()
+        index.bind_store(cache.root)
     for i, spec in enumerate(specs):
         fingerprint = None
         if cache is not None:
-            fingerprint = task_fingerprint(spec, index=index)
-            payload = cache.get(fingerprint)
-            if payload is not None:
-                results[i] = ExecResult(spec=spec, status="ok",
-                                        payload=payload, cached=True,
-                                        fingerprint=fingerprint)
-                continue
+            try:
+                fingerprint = task_fingerprint(spec, index=index)
+            except (KeyError, ValueError):
+                # an unknown scenario, algorithm or policy: the task
+                # runs uncached and fails as it does without a cache
+                pass
+        payload = cache.get(fingerprint) if fingerprint else None
+        if payload is not None:
+            results[i] = ExecResult(spec=spec, status="ok",
+                                    payload=payload, cached=True,
+                                    fingerprint=fingerprint)
+            continue
         to_run.append((i, spec, fingerprint))
+    if cache is not None:
+        index.save_store()
 
     if to_run:
         runner = _run_serial if jobs == 1 or len(to_run) == 1 \

@@ -261,12 +261,7 @@ def _merge_bench(path: str, key: str, entry: dict) -> None:
     """Merge one measurement under the report's ``fluid`` key."""
     from repro import perf
 
-    try:
-        report = perf.read_report(path)
-    except (OSError, ValueError):
-        report = {}
-    report.setdefault("fluid", {})[key] = entry
-    perf.write_report(path, report)
+    perf.merge_report(path, "fluid", {key: entry})
     print(f"recorded fluid.{key} in {path}")
 
 

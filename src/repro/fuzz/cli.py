@@ -137,23 +137,18 @@ def _record_fuzz_bench(path: str, results: Sequence[ExecResult],
     """Append a scenarios/sec row under BENCH_perf.json's fuzz key."""
     from repro import perf
 
-    try:
-        report = perf.read_report(path)
-    except (OSError, ValueError):
-        report = {}
     cached = sum(1 for r in results if r.cached)
     # key by jobs AND warmth: the cold row measures simulation
     # throughput, the warm row cache-lookup throughput
     warmth = "warm" if cached == len(results) else "cold"
-    report.setdefault("fuzz", {})[f"j{jobs}-{warmth}"] = {
+    perf.merge_report(path, "fuzz", {f"j{jobs}-{warmth}": {
         "seed": args.seed,
         "budget": len(results),
         "cached": cached,
         "cpus": os.cpu_count(),
         "wall_s": round(wall_s, 2),
         "scenarios_per_sec": round(len(results) / wall_s, 2),
-    }
-    perf.write_report(path, report)
+    }})
     print(f"recorded fuzz throughput in {path}")
 
 

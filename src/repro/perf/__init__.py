@@ -20,8 +20,8 @@ from repro.perf.runner import (DEFAULT_HISTORY, DEFAULT_OUTPUT,
                                HISTORY_WARN_FACTOR, append_history,
                                check_regression, environment_mismatches,
                                history_drift, history_entry, measure,
-                               read_history, read_report, run_suite,
-                               write_report)
+                               merge_report, read_history, read_report,
+                               run_suite, write_report)
 from repro.perf.workloads import MIN_SCALE, WORKLOADS, Workload
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "history_drift",
     "history_entry",
     "measure",
+    "merge_report",
     "probe_digest",
     "read_history",
     "read_report",

@@ -2,7 +2,7 @@
 
 Runs the :mod:`repro.perf.workloads` configurations under a wall-clock
 timer and records the numbers that define the repository's performance
-trajectory.  ``repro perf`` writes them to ``BENCH_perf.json`` at the
+trajectory.  ``repro perf`` merges them into ``BENCH_perf.json`` at the
 repo root; the CI smoke job re-runs the suite at a reduced scale and
 fails when the machine-normalised cost (wall seconds per simulated
 second) regresses by more than the configured factor against the
@@ -66,6 +66,7 @@ def measure(name: str, scale: float = 1.0, repeats: int = 1) -> dict[str, Any]:
         "events_per_sec": round(sim.executed_events / best_wall),
         "cells": cells,
         "cells_per_sec": round(cells / best_wall),
+        "cpus": os.cpu_count(),
     }
 
 
@@ -92,8 +93,9 @@ def environment_mismatches(current: dict[str, Any],
     Wall-clock numbers only gate meaningfully against a baseline captured
     on a comparable host; a baseline from another machine or interpreter
     should be *flagged*, not silently compared.  Returns one line per
-    differing field (empty = same recorded environment); fields absent
-    from either report (pre-versioned baselines) are not flagged.
+    differing field, and per workload row whose ``cpus`` differ (empty =
+    same recorded environment); fields absent from either report
+    (pre-versioned baselines) are not flagged.
     """
     notes: list[str] = []
     for field in ("python", "machine"):
@@ -101,6 +103,13 @@ def environment_mismatches(current: dict[str, Any],
         theirs = baseline.get(field)
         if ours and theirs and ours != theirs:
             notes.append(f"{field}: baseline recorded {theirs!r}, "
+                         f"this host reports {ours!r}")
+    base_rows = baseline.get("workloads", {})
+    for name, row in sorted(current.get("workloads", {}).items()):
+        ours = row.get("cpus")
+        theirs = base_rows.get(name, {}).get("cpus")
+        if ours and theirs and ours != theirs:
+            notes.append(f"cpus: baseline recorded {theirs!r} for {name}, "
                          f"this host reports {ours!r}")
     return notes
 
@@ -178,6 +187,25 @@ def history_drift(current: dict[str, Any], baseline: dict[str, Any],
     """Soft drift warnings for ``--record``: :func:`check_regression`
     at the tighter history threshold."""
     return check_regression(current, baseline, factor=factor)
+
+
+def merge_report(path: str, section: str, rows: dict[str, Any],
+                 **fields: Any) -> dict[str, Any]:
+    """Merge ``rows`` into ``section`` of the report at ``path``.
+
+    A row replaces the row of the same name; every other row and section
+    is kept, so each recorder (``repro perf`` and the ``--record-bench``
+    options) refreshes only what it measured.  ``fields`` set top-level
+    keys.  A missing or unreadable report starts empty.
+    """
+    try:
+        report = read_report(path)
+    except (OSError, ValueError):
+        report = {}
+    report.update(fields)
+    report.setdefault(section, {}).update(rows)
+    write_report(path, report)
+    return report
 
 
 def write_report(path: str, report: dict[str, Any]) -> None:

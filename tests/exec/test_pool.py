@@ -102,16 +102,22 @@ def test_unknown_scenario_is_an_error_result():
     assert "unknown scenario" in res.error
 
 
-def test_unresolvable_specs_are_error_results_in_parallel():
-    # run_tasks imports each task's modules before forking; a spec whose
-    # modules cannot be resolved must still come back as data
-    bad = [TaskSpec(task_id="x", scenario="atm.nope"),
-           TaskSpec(task_id="y", scenario="atm.staggered",
-                    params={"algorithm": "nope", "duration": 0.01})]
-    results = run_tasks(bad, jobs=2, retries=0)
-    assert [r.status for r in results] == ["error", "error"]
-    assert "unknown scenario" in results[0].error
-    assert "unknown algorithm" in results[1].error
+def test_unresolvable_specs_are_error_results_in_parallel(tmp_path):
+    # run_tasks fingerprints every spec, and imports each task's modules
+    # before forking; a spec whose modules cannot be resolved must still
+    # come back as data, and must not stop the batch's good tasks
+    batch = [TaskSpec(task_id="x", scenario="atm.nope"),
+             TaskSpec(task_id="y", scenario="atm.staggered",
+                      params={"algorithm": "nope", "duration": 0.01}),
+             TaskSpec(task_id="ok", **SMALL_ATM)]
+    for jobs, cache in ((2, None), (1, ResultCache(tmp_path / "j1")),
+                        (2, ResultCache(tmp_path / "j2"))):
+        results = run_tasks(batch, jobs=jobs, cache=cache, retries=0)
+        assert [r.status for r in results] == ["error", "error", "ok"]
+        assert "unknown scenario" in results[0].error
+        assert "unknown algorithm" in results[1].error
+        assert [r.fingerprint is None for r in results] == [
+            True, True, cache is None]
 
 
 def test_timeouts_are_reported_not_raised(scratch_registry):

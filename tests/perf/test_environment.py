@@ -24,3 +24,16 @@ def test_absent_fields_are_not_flagged():
     assert environment_mismatches({}, HOST) == []
     partial = {"python": HOST["python"]}  # no machine field
     assert environment_mismatches(HOST, dict(partial, machine="")) == []
+
+
+def test_cpu_count_differences_are_flagged_per_workload_row():
+    ours = {"workloads": {"e01_staggered": {"cpus": 2},
+                          "e11_tcp": {"cpus": 2}}}
+    theirs = {"workloads": {"e01_staggered": {"cpus": 1},
+                            "e11_tcp": {"cpus": 2}}}
+    (note,) = environment_mismatches(ours, theirs)
+    assert note == ("cpus: baseline recorded 1 for e01_staggered, "
+                    "this host reports 2")
+    # rows recorded before cpus was stamped are not flagged
+    assert environment_mismatches(
+        ours, {"workloads": {"e01_staggered": {}}}) == []

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import COMMANDS, build_parser
+from repro.exec.fingerprint import SCAN_STORE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -26,14 +27,22 @@ NOT_ON_REPLAY = tuple(f"repro.{name}" for name in (
     "atm", "tcp", "fluid", "baselines", "scenarios", "serve", "lint",
     "fuzz", "perf")) + ("asyncio", "multiprocessing", "concurrent.futures")
 
-#: Runs the CLI in a fresh interpreter, then writes its exit status and
-#: every module it loaded to argv[1].
+#: Runs the CLI in a fresh interpreter, then writes its exit status,
+#: every module it loaded and how often it called ``ast.parse`` to
+#: argv[1].
 RUN_AND_LIST_MODULES = (
-    "import json, sys\n"
+    "import ast, json, sys\n"
+    "parses = []\n"
+    "real_parse = ast.parse\n"
+    "def counting_parse(*args, **kwargs):\n"
+    "    parses.append(args[1:2])\n"
+    "    return real_parse(*args, **kwargs)\n"
+    "ast.parse = counting_parse\n"
     "from repro.cli import main\n"
     "status = main(sys.argv[2:])\n"
     "with open(sys.argv[1], 'w') as fh:\n"
-    "    json.dump({'status': status, 'modules': sorted(sys.modules)}, fh)\n")
+    "    json.dump({'status': status, 'modules': sorted(sys.modules),\n"
+    "               'parses': len(parses)}, fh)\n")
 
 
 def _fresh(*args: str, cwd: Path) -> subprocess.CompletedProcess:
@@ -43,19 +52,31 @@ def _fresh(*args: str, cwd: Path) -> subprocess.CompletedProcess:
 
 
 # ----------------------------------------------------------------------
-# import budget of a cached replay
+# what a cached replay pays for
 # ----------------------------------------------------------------------
-def test_cached_replay_loads_no_simulator(tmp_path):
+@pytest.fixture(scope="module")
+def replay(tmp_path_factory):
+    """A cold suite run, then a cached replay in a fresh interpreter:
+    the replay's report, and the import-scan store's bytes before and
+    after it."""
+    tmp_path = tmp_path_factory.mktemp("replay")
+    cache = tmp_path / "cache"
     suite = ["suite", "--experiments", "E01", "--scale", "0.05",
-             "--cache-dir", str(tmp_path / "cache"), "--manifest", ""]
+             "--cache-dir", str(cache), "--manifest", ""]
     cold = _fresh("-m", "repro", *suite, "-j", "1", cwd=tmp_path)
     assert cold.returncode == 0, cold.stdout + cold.stderr
+    store = cache / SCAN_STORE
+    before = store.read_bytes()
 
     listing = tmp_path / "modules.json"
     warm = _fresh("-c", RUN_AND_LIST_MODULES, str(listing), *suite,
                   "--assert-cached", "--health", cwd=tmp_path)
     assert warm.returncode == 0, warm.stdout + warm.stderr
-    replay = json.loads(listing.read_text())
+    return {**json.loads(listing.read_text()), "store_before": before,
+            "store_after": store.read_bytes()}
+
+
+def test_cached_replay_loads_no_simulator(replay):
     assert replay["status"] == 0
     modules = replay["modules"]
     loaded = [m for m in modules if any(
@@ -64,6 +85,15 @@ def test_cached_replay_loads_no_simulator(tmp_path):
     assert loaded == []
     ours = [m for m in modules if m == "repro" or m.startswith("repro.")]
     assert len(ours) <= 30, ours
+
+
+def test_cached_replay_parses_no_source(replay):
+    # the cold run stored every closure module's import scan beside its
+    # results; the replay reads them and, having scanned nothing, writes
+    # nothing
+    assert replay["status"] == 0
+    assert replay["parses"] == 0
+    assert replay["store_after"] == replay["store_before"]
 
 
 # ----------------------------------------------------------------------
