@@ -13,22 +13,31 @@ from __future__ import annotations
 import random
 
 from repro.atm.cell import Cell
-from repro.atm.link import CellSink
+from repro.atm.link import CellSink, CountingSink
 from repro.sim import Event, Simulator, units
 
 
-class BackgroundSink(CellSink):
+class BackgroundSink(CountingSink):
     """Absorbing endpoint for background traffic (counts deliveries)."""
 
     def __init__(self, vc: str):
-        self.vc = vc
-        self.cells_received = 0
+        super().__init__(vc)
+        self._cells_received = 0
+
+    @property
+    def cells_received(self) -> int:
+        """Cells delivered so far."""
+        self._retire()
+        return self._cells_received
+
+    def count_absorbed(self, n: int, last: Cell) -> None:
+        self._cells_received += n
 
     def receive(self, cell: Cell) -> None:
         if cell.vc != self.vc:
             raise ValueError(
                 f"background sink {self.vc} got cell for {cell.vc!r}")
-        self.cells_received += 1
+        self._cells_received += 1
 
 
 class CbrSource(CellSink):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from heapq import heappush
 
 from repro.atm.cell import Cell, RMCell, RMDirection
-from repro.atm.link import CellSink, Link
+from repro.atm.link import CellSink, CountingSink, Link
 from repro.atm.params import AbrParams, PAPER_PARAMS
 from repro.sim import PeriodicTimer, Probe, Simulator, units
 
@@ -272,21 +272,36 @@ class AbrSource(CellSink):
         self._set_acr(acr)
 
 
-class AbrDestination(CellSink):
-    """ABR destination end system: sink data, turn RM cells around."""
+class AbrDestination(CountingSink):
+    """ABR destination end system: sink data, turn RM cells around.
+
+    A data cell only bumps :attr:`data_received` and the remembered EFCI
+    state, so its delivery may be absorbed (:class:`CountingSink`); the
+    counter and every turnaround first retire the absorbed deliveries.
+    """
 
     def __init__(self, sim: Simulator, vc: str,
                  efci_to_ci: bool = True):
+        super().__init__(vc)
         self.sim = sim
-        self.vc = vc
         #: Binary mode: copy the remembered EFCI state into CI when
         #: turning an RM cell around (TM 4.0 destination behaviour).
         self.efci_to_ci = efci_to_ci
         self.reverse: CellSink | None = None
 
-        self.data_received = 0
+        self._data_received = 0
         self.rm_received = 0
         self._efci_state = False
+
+    @property
+    def data_received(self) -> int:
+        """Data cells delivered so far."""
+        self._retire()
+        return self._data_received
+
+    def count_absorbed(self, n: int, last: Cell) -> None:
+        self._data_received += n
+        self._efci_state = last.efci
 
     def attach_reverse(self, link: CellSink) -> None:
         self.reverse = link
@@ -295,6 +310,8 @@ class AbrDestination(CellSink):
         if cell.vc != self.vc:
             raise ValueError(
                 f"destination {self.vc} got cell for {cell.vc!r}")
+        # absorbed deliveries that precede this one set the EFCI state
+        self._retire()
         if cell.is_rm:
             if cell.direction is not RMDirection.FORWARD:
                 raise ValueError(
@@ -309,5 +326,5 @@ class AbrDestination(CellSink):
                     f"destination {self.vc} has no reverse link")
             self.reverse.receive(cell)
             return
-        self.data_received += 1
+        self._data_received += 1
         self._efci_state = cell.efci

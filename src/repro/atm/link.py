@@ -8,7 +8,9 @@ supports failure injection — ATM links do corrupt cells, and the control
 loop must survive lost RM cells (the Trm backstop's job).
 
 Anything with a ``receive(cell)`` method can sit at the far end — a switch,
-an end system, or a test stub (see :class:`CellSink`).
+an end system, or a test stub (see :class:`CellSink`).  A
+:class:`CountingSink` at the far end lets the link absorb deliveries the
+sink only counts (see :meth:`Link.receive_at`).
 """
 
 from __future__ import annotations
@@ -16,16 +18,47 @@ from __future__ import annotations
 import random
 from collections import deque
 from heapq import heappush
+from math import inf
 from typing import Protocol
 
 from repro.atm.cell import Cell
 from repro.sim import Simulator, units
 
 
+#: Absorbed deliveries a link holds beyond twice those in flight before
+#: it retires the fired ones itself (see Link.receive_at).
+ABSORB_SLACK = 256
+
+
 class CellSink(Protocol):
     """Anything that accepts cells."""
 
     def receive(self, cell: Cell) -> None: ...
+
+
+class CountingSink(CellSink):
+    """A sink on which a non-RM cell of its own VC only bumps counters.
+
+    Inside an unbounded run, a lossless :class:`Link` into one queues
+    such deliveries instead of scheduling them (see
+    :meth:`Link.receive_at`).  The sink reads nothing at delivery time,
+    so each counter reader first calls :meth:`_retire`, which applies
+    the deliveries the evented kernel would have executed by now
+    through :meth:`count_absorbed`.
+    """
+
+    def __init__(self, vc: str):
+        self.vc = vc
+        #: Links whose deliveries this sink may absorb.
+        self._feeds: list[Link] = []
+
+    def _retire(self) -> None:
+        for link in self._feeds:
+            link.retire_absorbed()
+
+    def count_absorbed(self, n: int, last: Cell) -> None:
+        """Apply ``n`` absorbed deliveries, ``last`` the latest of them."""
+        raise NotImplementedError
 
 
 class Link:
@@ -79,6 +112,19 @@ class Link:
         self._busy = False
         #: Cells destroyed by injected loss.
         self.lost = 0
+        #: Absorbed deliveries, ``(instant, seq, cell)`` in heap order:
+        #: each stands for the heap entry ``(instant, seq, None,
+        #: sink.receive, (cell,))`` (see :meth:`receive_at`).
+        self.absorbed: deque[tuple[float, int, Cell]] = deque()
+        #: The VC whose data cells the sink only counts (None: the sink
+        #: is not a CountingSink, nothing is absorbed).
+        self._absorb_vc: str | None = None
+        #: Queue length that makes an absorbing arrival retire first.
+        self._absorb_bound = ABSORB_SLACK
+        if isinstance(sink, CountingSink):
+            self._absorb_vc = sink.vc
+            sink._feeds.append(self)
+            sim._absorbers.append(self)
 
     def send(self, cell: Cell) -> None:
         """Accept a cell for transmission."""
@@ -91,26 +137,9 @@ class Link:
                 self.sim.schedule(  # lint: disable=PRF001
                     self.cell_time, self._transmitted)
             return
-        # Lossless: the departure time is fully determined on arrival
-        # (max(cursor, now) + cell_time reproduces the per-cell event
-        # chain's timestamps exactly, including the tie where an arrival
-        # lands on the instant a busy period ends), so serialization and
-        # propagation collapse into a single delivery event per cell.
-        busy_until = self._busy_until
-        now = self.sim.now
-        dep = (busy_until if busy_until > now else now) + self.cell_time
-        self._busy_until = dep
-        deps = self._pending_deps
-        # retire one already-delivered departure per send (bookkeeping
-        # only — counters, never event times — so the float compare is
-        # exact by construction: both sides were computed by this method)
-        if deps and deps[0] + self.propagation <= now:
-            deps.popleft()
-            self._delivered_base += 1
-        deps.append(dep)
-        heappush(self._sim_heap,
-                 (dep + self.propagation, next(self._sim_seq), None,
-                  self._sink_receive, (cell,)))
+        # Lossless: the departure time is fully determined on arrival,
+        # so an arrival now is an arrival known at ``now``
+        self.receive_at(cell, self.sim.now)
 
     #: CellSink alias, so links compose with switches and ports.
     receive = send
@@ -132,22 +161,80 @@ class Link:
         identical event an unoptimised upstream would have scheduled
         (composition sites also guard on ``loss_rate`` themselves; this
         is the backstop that makes bypassing loss impossible).
+
+        A data cell for a :class:`CountingSink` is *absorbed* while an
+        unbounded run is active: the delivery draws the sequence number
+        its heap entry would have had and waits in :attr:`absorbed`,
+        and :meth:`retire_absorbed` counts it once the heap would have
+        popped it.
         """
         if self.loss_rate:
             self.sim.schedule_fast_at(arrival, self.send, (cell,))
             return
+        # max(cursor, arrival) + cell_time reproduces the per-cell event
+        # chain's timestamps exactly, including the tie where an arrival
+        # lands on the instant a busy period ends, so serialization and
+        # propagation collapse into a single delivery event per cell
         busy_until = self._busy_until
         dep = (busy_until if busy_until > arrival else arrival) \
             + self.cell_time
         self._busy_until = dep
+        sim = self.sim
         deps = self._pending_deps
-        if deps and deps[0] + self.propagation <= self.sim.now:
+        # retire one already-delivered departure per arrival (bookkeeping
+        # only — counters, never event times — so the float compare is
+        # exact by construction: both sides were computed here)
+        if deps and deps[0] + self.propagation <= sim.now:
             deps.popleft()
             self._delivered_base += 1
         deps.append(dep)
-        heappush(self._sim_heap,
-                 (dep + self.propagation, next(self._sim_seq), None,
-                  self._sink_receive, (cell,)))
+        if (cell.vc == self._absorb_vc and not cell.is_rm
+                and sim._inline_ok):
+            absorbed = self.absorbed
+            absorbed.append(
+                (dep + self.propagation, next(self._sim_seq), cell))
+            if len(absorbed) > self._absorb_bound:
+                # a sink nobody reads mid-run (a background sink) would
+                # hold every cell until the run ends: retire what has
+                # fired, then allow twice what is still in flight
+                self.retire_absorbed()
+                self._absorb_bound = 2 * len(absorbed) + ABSORB_SLACK
+        else:
+            heappush(self._sim_heap,
+                     (dep + self.propagation, next(self._sim_seq), None,
+                      self._sink_receive, (cell,)))
+
+    def retire_absorbed(self, key: tuple | None = None,
+                        requeue: bool = False) -> float:
+        """Hand the sink the absorbed deliveries the heap would already
+        have popped — ``(instant, seq) < key``, by default ``(now, seq
+        of the executing entry)`` — counting each as an executed event.
+        With ``requeue`` (a run's exit) the rest go back into the heap as
+        the entries they stand for.  Returns the last retired instant,
+        ``-inf`` when none was.
+        """
+        absorbed = self.absorbed
+        if not absorbed:
+            return -inf
+        sim = self.sim
+        if key is None:
+            key = (sim.now, sim._seq_now)
+        latest = -inf
+        if absorbed[0] < key:
+            n = 0
+            while absorbed and absorbed[0] < key:
+                last = absorbed.popleft()
+                n += 1
+            sim._executed += n
+            self.sink.count_absorbed(n, last[2])
+            latest = last[0]
+        if requeue:
+            heap = self._sim_heap
+            receive = self._sink_receive
+            for instant, seq, cell in absorbed:
+                heappush(heap, (instant, seq, None, receive, (cell,)))
+            absorbed.clear()
+        return latest
 
     def _transmitted(self) -> None:
         cell = self._buffer.popleft()
@@ -171,9 +258,11 @@ class Link:
         write-once routing always picks the same next hop), the dispatch
         frame can be pre-resolved at wiring time.  The delivery event,
         its timestamp, and the delivery bookkeeping are unchanged — only
-        the intra-event call chain shortens.
+        the intra-event call chain shortens.  Deliveries to a bypassed
+        counting sink are no longer absorbed.
         """
         self._sink_receive = receive
+        self._absorb_vc = None
 
     def _deliver(self, cell: Cell) -> None:
         # loss-injection path only; the lossless path schedules the sink

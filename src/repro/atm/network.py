@@ -259,7 +259,11 @@ class AtmNetwork:
     # ------------------------------------------------------------------
     # measurement and execution
     # ------------------------------------------------------------------
-    def _start_meters(self) -> None:
+    def start_meters(self) -> None:
+        """Arm the per-session goodput meters, once.  :meth:`run` does
+        it; call it first when driving :attr:`sim` directly."""
+        if self._meters_started:
+            return
         self._meters_started = True
         counts: dict[str, int] = {}
 
@@ -275,6 +279,5 @@ class AtmNetwork:
 
     def run(self, until: float) -> None:
         """Run the simulation up to ``until`` seconds."""
-        if not self._meters_started:
-            self._start_meters()
+        self.start_meters()
         self.sim.run(until=until)

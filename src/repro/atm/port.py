@@ -11,6 +11,7 @@ RM cells of the sessions whose forward path crosses the port.
 from __future__ import annotations
 
 import sys
+from array import array
 from collections import Counter, deque
 from heapq import heappush
 
@@ -75,7 +76,9 @@ class OutputPort(CellSink):
     the quantity Phantom measures.  The total queue length (in cells) is
     recorded in :attr:`queue_probe`, the ABR level separately in
     :attr:`abr_queue_probe` — the "Queue length" series of the paper's
-    figures.
+    figures.  Until the first guaranteed-class cell arrives every queued
+    cell is ABR, so the two series are equal and share one pair of
+    arrays (see :meth:`_split_series`).
     """
 
     PRIORITY_LEVELS = 2
@@ -110,9 +113,12 @@ class OutputPort(CellSink):
         #: are non-preemptive, so the choice is fixed at service start.
         self._serving: deque[Cell] | None = None
         # occupancy counters mirror the deques so the per-cell paths
-        # never pay an O(levels) sum
+        # never pay an O(levels) sum; the ABR one is kept from the first
+        # guaranteed-class arrival on (before it, it equals _qlen)
         self._qlen = 0
         self._abr_qlen = 0
+        #: True from the first guaranteed-class arrival on.
+        self._mixed = False
         # bound methods captured once, instead of one allocation per
         # scheduled departure / per-cell hook dispatch
         self._tx_cb = self._transmitted
@@ -151,12 +157,16 @@ class OutputPort(CellSink):
 
         self.queue_probe = StepProbe(f"{name}.queue")
         self.abr_queue_probe = StepProbe(f"{name}.abr_queue")
+        # one series while the port is single-class (see _split_series)
+        self.abr_queue_probe.times = self.queue_probe.times
+        self.abr_queue_probe.values = self.queue_probe.values
         #: Cumulative drop count as a step series (pairs with
         #: :attr:`drops_by_vc` for per-VC attribution).
         self.drops_probe = StepProbe(f"{name}.drops")
         # raw storage of the two per-cell probes, for the hand-inlined
         # records in receive/_transmitted (the arrays mutate in place,
-        # so these aliases stay valid for the probe's life)
+        # so these aliases stay valid until _split_series replaces the
+        # ABR pair)
         self._q_times = self.queue_probe.times
         self._q_vals = self.queue_probe.values
         self._a_times = self.abr_queue_probe.times
@@ -173,7 +183,7 @@ class OutputPort(CellSink):
 
     @property
     def abr_queue_len(self) -> int:
-        return self._abr_qlen
+        return self._abr_qlen if self._mixed else self._qlen
 
     @property
     def capacity_cells_per_sec(self) -> float:
@@ -195,6 +205,17 @@ class OutputPort(CellSink):
             residual = floor
         self.cell_time = units.cell_time(residual)
 
+    def _split_series(self) -> None:
+        """First guaranteed-class arrival: from here on the ABR queue
+        can differ from the total, so the ABR probe gets its own copy of
+        the series recorded so far and the port starts keeping the ABR
+        count and choosing the queue to serve."""
+        self._mixed = True
+        self._abr_qlen = self._qlen
+        probe = self.abr_queue_probe
+        probe.times = self._a_times = array("d", self._q_times)
+        probe.values = self._a_vals = array("d", self._q_vals)
+
     def receive(self, cell: Cell) -> None:
         """Cell routed to this port by the switch."""
         self.arrivals += 1
@@ -213,19 +234,20 @@ class OutputPort(CellSink):
                             vc=cell.vc, qlen=self._qlen, drops=self.drops)
             return
         level = cell.priority
-        max_level = self._max_level
-        if level < 0:
-            level = 0
-        elif level > max_level:
-            level = max_level
-        self._queues[level].append(cell)
+        if level >= self._max_level:
+            queue = self._abr_queue
+            if self._mixed:
+                self._abr_qlen += 1
+        else:
+            if not self._mixed:
+                self._split_series()
+            queue = self._queues[level if level > 0 else 0]
+        queue.append(cell)
         qlen = self._qlen = self._qlen + 1
-        if level == max_level:
-            self._abr_qlen += 1
-        # StepProbe.record hand-inlined for both queue probes (dedup
+        # StepProbe.record hand-inlined for the queue probes (dedup
         # equal values, coalesce equal timestamps; the backwards-time
-        # guard is skipped — simulation time is monotonic here).  Two
-        # probe updates per cell event make the call overhead itself the
+        # guard is skipped — simulation time is monotonic here).  Probe
+        # updates on every cell event make the call overhead itself the
         # dominant cost, hence no helper call.
         now = self.sim.now
         vals = self._q_vals
@@ -236,22 +258,23 @@ class OutputPort(CellSink):
             else:
                 times.append(now)
                 vals.append(qlen)
-        value = self._abr_qlen
-        vals = self._a_vals
-        if not vals or vals[-1] != value:
-            times = self._a_times
-            if times and times[-1] == now:
-                vals[-1] = value
-            else:
-                times.append(now)
-                vals.append(value)
+        if self._mixed:
+            value = self._abr_qlen
+            vals = self._a_vals
+            if not vals or vals[-1] != value:
+                times = self._a_times
+                if times and times[-1] == now:
+                    vals[-1] = value
+                else:
+                    times.append(now)
+                    vals.append(value)
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(now, "port.enqueue", self.name,
                         vc=cell.vc, qlen=qlen)
         if not self._busy:
             self._busy = True
-            self._serving = self._queues[level]
+            self._serving = queue
             heappush(self._sim_heap,
                      (now + self.cell_time, next(self._sim_seq),
                       None, self._tx_cb, ()))
@@ -271,8 +294,6 @@ class OutputPort(CellSink):
             serving = self._serving
             cell = serving.popleft()
             qlen = self._qlen = self._qlen - 1
-            if serving is self._abr_queue:
-                self._abr_qlen -= 1
             # StepProbe.record hand-inlined (see receive)
             now = sim.now
             vals = self._q_vals
@@ -283,15 +304,18 @@ class OutputPort(CellSink):
                 else:
                     times.append(now)
                     vals.append(qlen)
-            value = self._abr_qlen
-            vals = self._a_vals
-            if not vals or vals[-1] != value:
-                times = self._a_times
-                if times and times[-1] == now:
-                    vals[-1] = value
-                else:
-                    times.append(now)
-                    vals.append(value)
+            if self._mixed:
+                if serving is self._abr_queue:
+                    self._abr_qlen -= 1
+                value = self._abr_qlen
+                vals = self._a_vals
+                if not vals or vals[-1] != value:
+                    times = self._a_times
+                    if times and times[-1] == now:
+                        vals[-1] = value
+                    else:
+                        times.append(now)
+                        vals.append(value)
             self.departures += 1
             on_departure = self._alg_on_departure
             if on_departure is not None:
@@ -309,12 +333,21 @@ class OutputPort(CellSink):
                 self._sink_receive(cell)
             if self._qlen:
                 # non-preemptive priority: the next queue to serve is
-                # fixed now, at this service completion
-                self._serving = next(q for q in self._queues if q)
+                # fixed now, at this service completion (a single-class
+                # port keeps serving its ABR queue)
+                if self._mixed:
+                    for queue in self._queues:
+                        if queue:
+                            self._serving = queue
+                            break
                 at = now + self.cell_time
-                if sim.advance_inline(at):
+                # advance_inline refuses whenever the heap head is due
+                # first, so only a clear head is worth the call
+                heap = self._sim_heap
+                if (not heap or heap[0][0] > at) \
+                        and sim.advance_inline(at):
                     continue
-                heappush(self._sim_heap,
+                heappush(heap,
                          (at, next(self._sim_seq), None, self._tx_cb, ()))
             else:
                 self._busy = False

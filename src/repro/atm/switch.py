@@ -15,6 +15,7 @@ and links, the standard output-queued abstraction.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable
 
 from repro.atm.cell import Cell, RMDirection
@@ -39,11 +40,13 @@ class AtmSwitch(CellSink):
         self._backward: dict[str, CellSink] = {}
         #: The forward OutputPort whose algorithm controls each VC, if any.
         self._control: dict[str, OutputPort] = {}
-        #: Per-VC cache for :meth:`receive_at`: the forward next hop when
-        #: it is a lossless :class:`Link` (else ``None``).  Routes are
+        #: Per-VC forward hop for :meth:`receive_at`: ``(link, None)``
+        #: when it is a :class:`Link` (a lossy one schedules its own
+        #: arrival event), else ``(None, receive)``.  Routes are
         #: write-once (``connect_session`` rejects re-routing), so the
         #: cache can never go stale.
-        self._compose: dict[str, Link | None] = {}
+        self._forward_at: dict[str, tuple[Link | None,
+                                          Callable | None]] = {}
         # per-VC dispatch caches (bound methods), same write-once
         # argument: skip the attribute lookups on the per-cell path
         self._forward_recv: dict[str, Callable] = {}
@@ -53,6 +56,10 @@ class AtmSwitch(CellSink):
         tracer = sim.tracer
         self._tracer = (tracer.gate("switch") if tracer is not None
                         else None)
+        # calendar-queue aliases for the inlined arrival push (see
+        # Simulator.schedule_fast for the entry-layout contract)
+        self._sim_heap = sim._heap
+        self._sim_seq = sim._seq
 
     def connect_session(self, vc: str, forward: CellSink,
                         backward: CellSink) -> None:
@@ -69,6 +76,8 @@ class AtmSwitch(CellSink):
         self._backward[vc] = backward
         self._forward_recv[vc] = forward.receive
         self._backward_recv[vc] = backward.receive
+        self._forward_at[vc] = ((forward, None) if isinstance(forward, Link)
+                                else (None, forward.receive))
         if isinstance(forward, OutputPort):
             self._control[vc] = forward
             self._mark[vc] = forward.algorithm.on_backward_rm
@@ -115,25 +124,26 @@ class AtmSwitch(CellSink):
         Called by an upstream port at departure time in place of
         scheduling an arrival event.  Switching is zero-latency and the
         routing tables are write-once, so a *forward* cell whose next hop
-        is a lossless link can be pushed straight through to the link's
-        own future-arrival path — one event fewer per cell, with the
-        delivery landing on the identical instant.  Everything else
-        (backward RM cells, whose marking must read the port algorithm's
-        state at arrival time; next hops that queue; unknown VCs) falls
-        back to a real arrival event, which reproduces the unoptimised
+        is a link can be pushed straight through to the link's own
+        future-arrival path — one event fewer per cell, with the
+        delivery landing on the identical instant — and one whose next
+        hop queues (an output port) gets its arrival event scheduled on
+        that hop's ``receive``, which is where this switch's dispatch
+        would send it.  Backward RM cells, whose marking must read the
+        port algorithm's state at arrival time, and unknown VCs get a
+        real arrival event here, which reproduces the unoptimised
         schedule exactly.
         """
         if not (cell.is_rm and cell.direction is RMDirection.BACKWARD):
-            vc = cell.vc
-            try:
-                link = self._compose[vc]
-            except KeyError:
-                hop = self._forward.get(vc)
-                link = (hop if isinstance(hop, Link) and not hop.loss_rate
-                        else None)
-                self._compose[vc] = link
-            if link is not None:
-                link.receive_at(cell, arrival)
+            hop = self._forward_at.get(cell.vc)
+            if hop is not None:
+                link, receive = hop
+                if link is not None:
+                    link.receive_at(cell, arrival)
+                else:
+                    heappush(self._sim_heap,
+                             (arrival, next(self._sim_seq), None, receive,
+                              (cell,)))
                 return
         self.sim.schedule_fast_at(arrival, self.receive, (cell,))
 

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from array import array
-from typing import Any
+from typing import Any, Mapping
 
 from repro.fluid.results import FluidRun, HybridRun
 from repro.perf.workloads import WORKLOADS
@@ -231,6 +232,34 @@ def compare_traces(expected: dict[str, Any],
         if a != b:
             problems.append(f"probe {key}: expected {a!r}, got {b!r}")
     return problems
+
+
+def reference_problems(config: Mapping[str, Any],
+                       seed: int) -> list[str]:
+    """Mismatches between the fast kernel and the evented reference on
+    one ``fuzz.generic`` scenario config (empty = identical).
+
+    The config is built twice.  One copy runs to its ``duration`` with
+    :meth:`AtmNetwork.run <repro.atm.AtmNetwork.run>`; the other with a
+    ``max_events`` bound it never reaches, which is the evented
+    reference: a bounded run refuses inline advances and absorbed
+    deliveries.  Their traces (probe digests, counters,
+    ``executed_events``, final clock) must be equal.
+    """
+    from repro.exec.entries import _algorithm_factory
+    from repro.scenarios.generic import build_atm
+
+    factory = _algorithm_factory(config.get("algorithm", "phantom"),
+                                 config.get("algorithm_params"))
+    fast = build_atm(config, algorithm_factory=factory, seed=seed,
+                     run=False)
+    fast.net.run(until=fast.duration)
+    reference = build_atm(config, algorithm_factory=factory, seed=seed,
+                          run=False)
+    reference.net.start_meters()
+    reference.net.sim.run(until=reference.duration, max_events=sys.maxsize)
+    return compare_traces(trace_from_run("reference", 1.0, reference),
+                          trace_from_run("reference", 1.0, fast))
 
 
 def write_trace(path: str, trace: dict[str, Any]) -> None:

@@ -125,13 +125,16 @@ def _inject_rm_loss(net: AtmNetwork, rm_loss: float,
                     streams: RngStreams) -> None:
     """Replace each session's backward access link with a lossy twin.
 
+    The twin keeps the replaced link's rate and propagation delay, so a
+    session's drawn access delay still applies to its feedback leg.
     Same rewiring the RM-loss tests and ``repro.fluid.validate`` use:
     the switch's per-VC dispatch cache must move with the route table or
     the lossless original keeps receiving the cells.
     """
     for vc, session in net.sessions.items():
         first_switch = net.switches[session.route[0]]
-        lossy = Link(net.sim, net.link_rate, net.access_delay,
+        replaced = first_switch._backward[vc]
+        lossy = Link(net.sim, replaced.rate_mbps, replaced.propagation,
                      session.source, name=f"{vc}.back.lossy",
                      loss_rate=rm_loss,
                      rng=streams.stream(f"rmloss.{vc}"))

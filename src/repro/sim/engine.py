@@ -29,6 +29,16 @@ without a heap round-trip; the engine only permits the shortcut when it is
 observationally identical to scheduling a real wake-up (see the method's
 docstring), so event counts and execution order never depend on whether
 the shortcut was taken.
+
+Deliveries into sinks that only count can be *absorbed*: inside an
+unbounded :meth:`Simulator.run`, such a link queues ``(instant, seq,
+cell)`` on its own FIFO instead of pushing the heap entry, drawing the
+same sequence number the entry would have had.  The engine records the
+``seq`` of the executing entry, so a reader can retire exactly the
+absorbed entries the heap would already have popped — those with
+``(instant, seq) < (now, seq)`` — and count them as executed events; on
+exit, ``run()`` retires the ones that fired and requeues the rest as the
+ordinary heap entries they stand for (see :meth:`Simulator.run`).
 """
 
 from __future__ import annotations
@@ -120,13 +130,19 @@ class Simulator:
         #: the lazy drop of a cancelled entry touch this.
         self._stale = 0
         #: True while a run() without a ``max_events`` bound is active;
-        #: gates advance_inline so the safety valve stays exact.
+        #: gates advance_inline and absorbed deliveries, so the safety
+        #: valve and step() see the evented kernel.
         self._inline_ok = False
-        #: Number of events executed so far (observability/tests).  Cell
-        #: trains drained via :meth:`advance_inline` count one event per
-        #: drained departure, so the total is invariant under the
-        #: fast-path optimisations.
-        self.executed_events: int = 0
+        #: Events executed, less absorbed deliveries not yet retired
+        #: (read :attr:`executed_events`).
+        self._executed = 0
+        #: ``seq`` of the executing heap entry (``inf`` after an inline
+        #: advance: its wake-up would have been the newest entry), the
+        #: tie-break half of the absorbed-delivery retire key.
+        self._seq_now: float = -1
+        #: Links that absorb deliveries (``retire_absorbed``/``absorbed``,
+        #: see :class:`repro.atm.link.Link`).
+        self._absorbers: list[Any] = []
         #: Structured trace bus (:class:`repro.obs.Tracer`) or None.
         #: When set, the engine emits ``engine.schedule`` per scheduling
         #: call and ``engine.event`` per executed event (category
@@ -232,21 +248,54 @@ class Simulator:
         if heap and heap[0][0] <= time:
             return False
         self.now = time
-        self.executed_events += 1
+        self._seq_now = inf
+        self._executed += 1
         return True
+
+    @property
+    def executed_events(self) -> int:
+        """Number of events executed so far (observability/tests).
+
+        Cell trains drained via :meth:`advance_inline` count one event
+        per drained departure, and absorbed deliveries one event each
+        once the heap would have popped them, so the total is invariant
+        under the fast-path optimisations and exact mid-run.
+        """
+        self._retire_absorbed()
+        return self._executed
+
+    def _retire_absorbed(self) -> None:
+        """Count every absorbed delivery the heap would already have
+        popped: ``(instant, seq) < (now, seq of the executing entry)``."""
+        if self._absorbers:
+            key = (self.now, self._seq_now)
+            for absorber in self._absorbers:
+                absorber.retire_absorbed(key)
+
+    def _settle_absorbed(self, key: tuple) -> float:
+        """Run exit: retire the absorbed deliveries before ``key`` and
+        requeue the rest as ordinary heap entries with their reserved
+        ``(instant, seq)``.  Returns the latest retired instant."""
+        latest = -inf
+        for absorber in self._absorbers:
+            last = absorber.retire_absorbed(key, requeue=True)
+            if last > latest:
+                latest = last
+        return latest
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
         heap = self._heap
         while heap:
-            time, _seq, event, fn, args = heappop(heap)
+            time, seq, event, fn, args = heappop(heap)
             if event is not None:
                 if event.cancelled:
                     self._stale -= 1
                     continue
                 event._fired = True
             self.now = time
-            self.executed_events += 1
+            self._seq_now = seq
+            self._executed += 1
             tracer = self.tracer
             if tracer is not None and tracer.enabled("engine"):
                 tracer.emit(time, "engine.event", "sim",
@@ -264,6 +313,15 @@ class Simulator:
         and :attr:`now` is left at ``until`` when the bound is what ended
         the run (so probe series have a well-defined horizon).
         ``max_events`` is a safety valve for tests.
+
+        Deliveries are absorbed (see the module docstring) only inside a
+        run without ``max_events``.  Whatever ends it — the heap
+        draining, the ``until`` bound, :meth:`stop`, an exception — the
+        absorbed entries the evented kernel would have executed by then
+        are counted (all up to the bound when the heap drained or the
+        bound was reached; those before the executing entry otherwise),
+        and the rest go back into the heap as ordinary entries, so
+        :meth:`step` and bounded runs continue from the evented state.
 
         The cyclic garbage collector is paused for the duration of the
         loop (and restored on exit, including on exceptions): the hot
@@ -290,7 +348,7 @@ class Simulator:
         tracer = self.tracer
         if tracer is not None and not tracer.enabled("engine"):
             tracer = None
-        # executed_events is incremented on the attribute, event by
+        # the event count is incremented on the attribute, event by
         # event, so callbacks (probes, policy hooks, user timers) that
         # read it mid-run always see the exact count — an accumulate-in-
         # a-local variant was measured and rejected: the saving is noise
@@ -308,7 +366,7 @@ class Simulator:
                     # paid per event.  Cancelled events are dropped before
                     # the bound check so a dead head can't end the run
                     # early.
-                    time, _seq, event, fn, args = entry = pop(heap)
+                    time, seq, event, fn, args = entry = pop(heap)
                     if event is not None:
                         if event.cancelled:
                             self._stale -= 1
@@ -321,16 +379,26 @@ class Simulator:
                         heappush(heap, entry)
                         break
                     self.now = time
-                    self.executed_events += 1
+                    self._seq_now = seq
+                    self._executed += 1
                     if tracer is not None:
                         tracer.emit(time, "engine.event", "sim",
                                     fn=getattr(fn, "__qualname__",
                                                type(fn).__name__))
                     fn(*args)
+                if self._absorbers:
+                    # stop() keeps what fired before the executing
+                    # entry; a drained heap or the bound fires all
+                    # absorbed deliveries up to the bound
+                    latest = self._settle_absorbed(
+                        (self.now, self._seq_now) if self._stopped
+                        else (bound, inf))
+                    if latest > self.now:
+                        self.now = latest
             else:
                 remaining = max_events
                 while heap and not self._stopped:
-                    time, _seq, event, fn, args = entry = pop(heap)
+                    time, seq, event, fn, args = entry = pop(heap)
                     if event is not None:
                         if event.cancelled:
                             self._stale -= 1
@@ -343,7 +411,8 @@ class Simulator:
                         heappush(heap, entry)
                         break
                     self.now = time
-                    self.executed_events += 1
+                    self._seq_now = seq
+                    self._executed += 1
                     if tracer is not None:
                         tracer.emit(time, "engine.event", "sim",
                                     fn=getattr(fn, "__qualname__",
@@ -355,6 +424,9 @@ class Simulator:
             if until is not None and not self._stopped and (
                     not heap or heap[0][0] > bound):
                 self.now = max(self.now, until)
+        except BaseException:
+            self._settle_absorbed((self.now, self._seq_now))
+            raise
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -368,8 +440,11 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of non-cancelled events still queued (O(1))."""
-        return len(self._heap) - self._stale
+        """Number of non-cancelled events still queued, absorbed
+        deliveries not yet retired included."""
+        self._retire_absorbed()
+        return (len(self._heap) - self._stale
+                + sum(len(a.absorbed) for a in self._absorbers))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Simulator now={self.now:.6f} "

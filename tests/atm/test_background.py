@@ -163,3 +163,34 @@ def test_background_sink_validates_vc():
     sink = BackgroundSink("bg")
     with pytest.raises(ValueError):
         sink.receive(Cell(vc="other"))
+
+
+def test_abr_series_shares_storage_until_the_first_guaranteed_cell():
+    sim = Simulator()
+    port = OutputPort(sim, "p", rate_mbps=150.0, sink=Collector(sim))
+    ct = port.cell_time
+    port.receive(Cell(vc="abr", seq=0))
+    port.receive(Cell(vc="abr", seq=1))
+    sim.run(until=1.5 * ct)
+    # single-class so far: one series under both names
+    assert port.abr_queue_probe.times is port.queue_probe.times
+    assert port.abr_queue_probe.values is port.queue_probe.values
+    assert port.abr_queue_len == port.queue_len == 1
+    port.receive(Cell(vc="cbr", seq=0, priority=0))
+    assert port.abr_queue_probe.times is not port.queue_probe.times
+    sim.run()
+    # a1 was chosen for service at ct, before c0 arrived; c0 follows
+    assert list(port.queue_probe.times) == [0.0, ct, 1.5 * ct, 2 * ct,
+                                            3 * ct]
+    assert list(port.queue_probe.values) == [2, 1, 2, 1, 0]
+    assert list(port.abr_queue_probe.times) == [0.0, ct, 2 * ct]
+    assert list(port.abr_queue_probe.values) == [2, 1, 0]
+    assert port.abr_queue_len == port.queue_len == 0
+
+
+def test_first_arrival_guaranteed_starts_the_abr_series_at_zero():
+    sim = Simulator()
+    port = OutputPort(sim, "p", rate_mbps=150.0, sink=Collector(sim))
+    port.receive(Cell(vc="cbr", seq=0, priority=0))
+    assert list(port.queue_probe.values) == [1]
+    assert list(port.abr_queue_probe.values) == [0]
