@@ -134,13 +134,7 @@ class SourceIndex:
         return path is not None and path.name == "__init__.py"
 
     def all_modules(self) -> tuple[str, ...]:
-        """Every module under the indexed tree, sorted by dotted name.
-
-        This is the enumeration side of the import-closure walker: the
-        project-analysis tier (:mod:`repro.lint.project`) seeds its
-        whole-program graph from it, and :meth:`dependents_closure`
-        inverts :meth:`imports_of` over exactly this module set.
-        """
+        """Every module under the indexed tree, sorted by dotted name."""
         found: list[str] = []
         for path in sorted(self.root.rglob("*.py")):
             rel = path.relative_to(self.root)
@@ -152,43 +146,6 @@ class SourceIndex:
             found.append(".".join([self.package] + parts)
                          if parts else self.package)
         return tuple(sorted(found))
-
-    def module_name_of(self, path: str | Path) -> str | None:
-        """Dotted module name of a file under the root, or None."""
-        try:
-            rel = Path(path).resolve().relative_to(self.root.resolve())
-        except ValueError:
-            return None
-        if rel.suffix != ".py":
-            return None
-        parts = list(rel.parts[:-1])
-        if rel.name != "__init__.py":
-            parts.append(rel.name[:-3])
-        return ".".join([self.package] + parts) if parts else self.package
-
-    def dependents_closure(self, roots: Iterable[str]) -> tuple[str, ...]:
-        """Modules whose import closure contains any of ``roots``.
-
-        The reverse of :meth:`closure`: editing module *m* can only
-        change analysis results for modules that (transitively) import
-        it, so an incremental run (``repro lint --changed``) re-examines
-        exactly this set.  Roots themselves are included.
-        """
-        reverse: dict[str, set[str]] = {}
-        for mod in self.all_modules():
-            for imported in self.imports_of(mod):
-                reverse.setdefault(imported, set()).add(mod)
-        seen: set[str] = set()
-        frontier = [r for r in set(roots)
-                    if self.module_path(r) is not None]
-        while frontier:
-            mod = frontier.pop()
-            if mod in seen:
-                continue
-            seen.add(mod)
-            frontier.extend(m for m in reverse.get(mod, ())
-                            if m not in seen)
-        return tuple(sorted(seen))
 
     # ------------------------------------------------------------------
     # digests
@@ -236,18 +193,6 @@ class SourceIndex:
             found.discard(modname)
             self._imports[modname] = tuple(sorted(found))
         return self._imports[modname]
-
-    def resolve_import_from(self, modname: str,
-                            node: ast.ImportFrom) -> str | None:
-        """Public name resolution for a ``from ... import`` statement.
-
-        Returns the absolute module the statement pulls from (relative
-        levels anchored at ``modname``'s package), or None when the
-        anchor escapes the tree.  Exposed for the project-analysis
-        tier's alias maps, which must agree with the fingerprint
-        walker's resolution exactly.
-        """
-        return self._from_base(modname, node.level, node.module)
 
     def _from_base(self, modname: str, level: int,
                    module: str | None) -> str | None:

@@ -5,9 +5,8 @@ code by *name*, inside the worker process.  That only works when every
 registered entry point is a module-level importable callable — a worker
 must be able to reach the same object through
 ``sys.modules[fn.__module__].<fn.__name__>``.  :func:`register_scenario`
-enforces that at registration time (lint rule EXE001 enforces it
-statically), so a lambda or closure can never sneak into the registry
-and break spec shipping.
+enforces that at registration time, so a lambda or closure can never
+sneak into the registry and break spec shipping.
 """
 
 from __future__ import annotations

@@ -1,11 +1,8 @@
 """Command-line front end: ``python -m repro.lint [paths...]``.
 
-Two tiers share this entry point: the per-file syntactic rules always
-run over ``paths``; ``--project`` additionally builds the whole-program
-graph (over ``--package-root``) and runs the interprocedural passes,
-with the committed baseline (``lint-baseline.json``) filtering accepted
-findings.  ``--select``/``--ignore`` apply across both tiers — the id
-namespaces are disjoint.
+The per-file rules run over ``paths`` (default ``src tests``);
+``--changed`` narrows the run to the files a git diff touches, and
+``--report-unused-pragmas`` adds the pragmas that suppressed nothing.
 """
 
 from __future__ import annotations
@@ -13,16 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import subprocess
-import sys
 from typing import Sequence
 
 from repro.lint.findings import DEAD_SUPPRESSION_ID, Finding, Severity
 from repro.lint.registry import all_rules
-from repro.lint.reporters import render_json, render_sarif, render_text
-from repro.lint.runner import lint_paths
-
-#: Baseline picked up automatically when it exists in the cwd.
-DEFAULT_BASELINE = "lint-baseline.json"
+from repro.lint.reporters import render_json, render_text
+from repro.lint.runner import EXCLUDED_DIRS, lint_paths
 
 
 def _split_ids(value: str) -> list[str]:
@@ -35,84 +28,39 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "paths", nargs="*", default=["src", "tests"],
         help="files or directories to lint (default: src tests)")
     parser.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
+        "--format", choices=["text", "json"], default="text",
         dest="fmt", help="report format")
     parser.add_argument(
         "--output", default=None, metavar="FILE",
         help="write the report to FILE instead of stdout")
     parser.add_argument(
         "--select", type=_split_ids, default=None, metavar="IDS",
-        help="comma-separated rule/pass ids to run (default: all)")
+        help="comma-separated rule ids to run (default: all)")
     parser.add_argument(
         "--ignore", type=_split_ids, default=None, metavar="IDS",
-        help="comma-separated rule/pass ids to skip")
+        help="comma-separated rule ids to skip")
     parser.add_argument(
         "--list-rules", action="store_true",
-        help="print the rule table (both tiers) and exit")
+        help="print the rule table and exit")
     parser.add_argument(
         "--changed", nargs="?", const="HEAD", default=None, metavar="REF",
-        help="lint only files changed vs. git REF (default HEAD); with "
-             "--project, report only changed modules and their reverse "
-             "import closure")
+        help="lint only files changed vs. git REF (default HEAD)")
     parser.add_argument(
         "--report-unused-pragmas", action="store_true",
-        help="after the run, report suppression pragmas and baseline "
-             "entries that no longer suppress anything (full rule set "
-             "only)")
-    project = parser.add_argument_group(
-        "project analysis (whole-program passes)")
-    project.add_argument(
-        "--project", action="store_true",
-        help="also run the interprocedural passes (CONC/DTT/UNI) over "
-             "the package graph")
-    project.add_argument(
-        "--package-root", default=None, metavar="DIR",
-        help="package directory to analyze (default: the installed "
-             "repro package)")
-    project.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"accepted-findings baseline (default: {DEFAULT_BASELINE} "
-             "when present)")
-    project.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current project findings to the baseline file, "
-             "keeping justifications of entries that still match")
-    project.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache project results keyed on the program digest "
-             "(skips analysis entirely when no module changed)")
+        help="after the run, report suppression pragmas that no longer "
+             "suppress anything (full rule set only)")
 
 
 def run_from_args(args: argparse.Namespace) -> int:
     return run(args.paths, fmt=args.fmt, select=args.select,
                ignore=args.ignore, list_rules=args.list_rules,
                output=args.output, changed=args.changed,
-               report_unused_pragmas=args.report_unused_pragmas,
-               project=args.project, package_root=args.package_root,
-               baseline_path=args.baseline,
-               write_baseline=args.write_baseline,
-               cache_dir=args.cache_dir)
+               report_unused_pragmas=args.report_unused_pragmas)
 
 
 def _print_rules() -> None:
-    from repro.lint.project.passes import all_passes
-
-    print("per-file rules:")
     for rule in all_rules():
-        print(f"  {rule.id}  [{rule.severity}]  {rule.summary}")
-    print("project passes (--project):")
-    for project_pass in all_passes():
-        print(f"  {project_pass.id}  [{project_pass.severity}]  "
-              f"{project_pass.summary}")
-
-
-def _known_ids(project: bool) -> set[str]:
-    known = {rule.id for rule in all_rules()}
-    if project:
-        from repro.lint.project.passes import all_passes
-
-        known |= {p.id for p in all_passes()}
-    return known
+        print(f"{rule.id}  [{rule.severity}]  {rule.summary}")
 
 
 def _git_changed_files(ref: str) -> list[str] | None:
@@ -124,15 +72,6 @@ def _git_changed_files(ref: str) -> list[str] | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return [p for p in proc.stdout.split("\0") if p]
-
-
-def _rule_meta(project: bool) -> dict[str, str]:
-    meta = {rule.id: rule.summary for rule in all_rules()}
-    if project:
-        from repro.lint.project.passes import all_passes
-
-        meta.update({p.id: p.summary for p in all_passes()})
-    return meta
 
 
 def _dead_suppression_findings(registry: dict) -> list[Finding]:
@@ -154,10 +93,7 @@ def run(paths: Sequence[str], fmt: str = "text",
         ignore: Sequence[str] | None = None,
         list_rules: bool = False, output: str | None = None,
         changed: str | None = None,
-        report_unused_pragmas: bool = False,
-        project: bool = False, package_root: str | None = None,
-        baseline_path: str | None = None, write_baseline: bool = False,
-        cache_dir: str | None = None) -> int:
+        report_unused_pragmas: bool = False) -> int:
     """Execute a lint run; returns the process exit code."""
     if list_rules:
         _print_rules()
@@ -166,7 +102,7 @@ def run(paths: Sequence[str], fmt: str = "text",
         print("repro.lint: --report-unused-pragmas needs the full rule "
               "set; drop --select/--ignore")
         return 2
-    known = _known_ids(project=True)
+    known = {rule.id for rule in all_rules()}
     for flag, ids in (("--select", select), ("--ignore", ignore)):
         unknown = sorted({i.upper() for i in ids or ()} - known)
         if unknown:
@@ -175,24 +111,20 @@ def run(paths: Sequence[str], fmt: str = "text",
                   f"{', '.join(unknown)} (see --list-rules)")
             return 2
 
-    changed_paths: list[str] | None = None
+    lint_targets = list(paths)
     if changed is not None:
         changed_paths = _git_changed_files(changed)
         if changed_paths is None:
             print(f"repro.lint: --changed: git diff against {changed!r} "
                   "failed (not a git checkout?)")
             return 2
-
-    lint_targets = list(paths)
-    if changed_paths is not None:
         # a diff-scoped run is a scoped tree gate, not an explicit-file
         # request, so it keeps the directory-walk exclusions (fixtures,
         # caches) the full walk applies
-        covered = [p for p in changed_paths
-                   if p.endswith(".py") and os.path.isfile(p)
-                   and _under_any(p, paths)
-                   and not _in_excluded_dir(p)]
-        lint_targets = covered
+        lint_targets = [p for p in changed_paths
+                        if p.endswith(".py") and os.path.isfile(p)
+                        and _under_any(p, paths)
+                        and not _in_excluded_dir(p)]
 
     suppression_registry: dict = {}
     findings: list[Finding] = []
@@ -206,40 +138,19 @@ def run(paths: Sequence[str], fmt: str = "text",
             print(f"repro.lint: no such file or directory: {exc}")
             return 2
 
-    stale_lines: list[str] = []
-    project_note = ""
-    if project or write_baseline:
-        code, project_findings, project_note, stale_lines = _run_project(
-            select=select, ignore=ignore,
-            package_root=package_root, baseline_path=baseline_path,
-            write_baseline=write_baseline,
-            cache_dir=None if report_unused_pragmas else cache_dir,
-            changed_paths=changed_paths,
-            suppression_registry=suppression_registry)
-        if code != 0:
-            return code
-        findings = sorted(findings + project_findings)
-
     if report_unused_pragmas:
         findings = sorted(
             findings + _dead_suppression_findings(suppression_registry))
 
-    renderer = {"json": render_json, "text": render_text}.get(fmt)
-    if renderer is not None:
-        text = renderer(findings, files_checked)
-    else:
-        text = render_sarif(findings, _rule_meta(project))
+    renderer = render_json if fmt == "json" else render_text
+    text = renderer(findings, files_checked)
     if output is not None:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.write("\n")
     else:
         print(text)
-    if fmt == "text" and project_note and output is None:
-        print(project_note)
-    for line in stale_lines:
-        print(line, file=sys.stderr)
-    return 1 if findings or stale_lines else 0
+    return 1 if findings else 0
 
 
 def _under_any(path: str, roots: Sequence[str]) -> bool:
@@ -252,73 +163,8 @@ def _under_any(path: str, roots: Sequence[str]) -> bool:
 
 
 def _in_excluded_dir(path: str) -> bool:
-    from repro.lint.runner import EXCLUDED_DIRS
-
     parts = os.path.normpath(path).split(os.sep)
     return any(part in EXCLUDED_DIRS for part in parts[:-1])
-
-
-def _run_project(*, select, ignore, package_root, baseline_path,
-                 write_baseline, cache_dir, changed_paths,
-                 suppression_registry):
-    """Run the project tier; returns (code, findings, note, stale)."""
-    from repro.exec.fingerprint import SourceIndex
-    from repro.lint import project as project_mod
-
-    index = (SourceIndex(package_root) if package_root is not None
-             else SourceIndex())
-
-    explicit_baseline = baseline_path is not None
-    if baseline_path is None and os.path.isfile(DEFAULT_BASELINE):
-        baseline_path = DEFAULT_BASELINE
-
-    if write_baseline:
-        target = baseline_path or DEFAULT_BASELINE
-        report = project_mod.analyze_project(index)
-        justifications = {}
-        if os.path.isfile(target):
-            try:
-                old = project_mod.load_baseline(target)
-            except ValueError as exc:
-                print(f"repro.lint: {exc}")
-                return 2, [], "", []
-            justifications = {
-                (e.rule, e.path, e.symbol): e.justification
-                for e in old.entries}
-        count = project_mod.write_baseline(target, report.findings,
-                                           justifications)
-        print(f"repro.lint: wrote {count} entr"
-              f"{'y' if count == 1 else 'ies'} to {target}")
-        return 0, [], "", []
-
-    baseline = None
-    if baseline_path is not None:
-        try:
-            baseline = project_mod.load_baseline(baseline_path)
-        except FileNotFoundError:
-            if explicit_baseline:
-                print(f"repro.lint: no such baseline: {baseline_path}")
-                return 2, [], "", []
-        except ValueError as exc:
-            print(f"repro.lint: {exc}")
-            return 2, [], "", []
-
-    restrict = None
-    if changed_paths is not None:
-        restrict = project_mod.changed_modules(index, changed_paths)
-
-    report = project_mod.analyze_project(
-        index, select=list(select) if select else None,
-        ignore=list(ignore) if ignore else None,
-        cache_dir=cache_dir, baseline=baseline,
-        restrict_modules=restrict,
-        suppression_registry=suppression_registry)
-    note = (f"project: {report.modules_analyzed} modules analyzed"
-            f"{' (cached)' if report.from_cache else ''}"
-            f"{f', {report.baselined} baselined' if report.baselined else ''}")
-    stale = [f"repro.lint: stale baseline entry (fix the baseline): "
-             f"{entry.render()}" for entry in report.stale_baseline]
-    return 0, report.findings, note, stale
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -25,14 +25,7 @@ class Severity(enum.Enum):
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at one source location.
-
-    ``end_line`` (when known) closes the flagged region for reporters
-    that render ranges (SARIF); ``symbol`` carries the fully-qualified
-    function/state name a *project-tier* finding anchors at — it is the
-    stable identity baseline entries match on, so line drift from
-    unrelated edits never churns the baseline.
-    """
+    """One rule violation at one source location."""
 
     path: str
     line: int
@@ -40,11 +33,9 @@ class Finding:
     rule_id: str
     severity: Severity
     message: str
-    end_line: int | None = None
-    symbol: str = ""
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -52,11 +43,6 @@ class Finding:
             "severity": str(self.severity),
             "message": self.message,
         }
-        if self.end_line is not None:
-            out["end_line"] = self.end_line
-        if self.symbol:
-            out["symbol"] = self.symbol
-        return out
 
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: "
@@ -66,6 +52,6 @@ class Finding:
 #: Pseudo-rule id used for files that fail to parse.
 PARSE_ERROR_ID = "LNT000"
 
-#: Pseudo-rule id for suppressions (pragmas / baseline entries) that no
-#: longer suppress anything; reported by ``--report-unused-pragmas``.
+#: Pseudo-rule id for suppression pragmas that no longer suppress
+#: anything; reported by ``--report-unused-pragmas``.
 DEAD_SUPPRESSION_ID = "LNT001"

@@ -1,18 +1,14 @@
-"""Finding reporters: human text, machine JSON, and SARIF 2.1.0."""
+"""Finding reporters: human text and machine JSON."""
 
 from __future__ import annotations
 
 import json
 from typing import Sequence
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 
 #: Schema version of the JSON report (bump on breaking changes).
 JSON_SCHEMA_VERSION = 1
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                "master/Schemata/sarif-schema-2.1.0.json")
 
 
 def render_text(findings: Sequence[Finding], files_checked: int) -> str:
@@ -34,70 +30,3 @@ def render_json(findings: Sequence[Finding], files_checked: int) -> str:
         "findings": [f.to_dict() for f in findings],
     }
     return json.dumps(report, indent=2, sort_keys=True)
-
-
-def _sarif_level(severity: Severity) -> str:
-    return "error" if severity is Severity.ERROR else "warning"
-
-
-def render_sarif(findings: Sequence[Finding],
-                 rule_meta: dict[str, str] | None = None) -> str:
-    """SARIF 2.1.0 report (one run, one tool).
-
-    ``rule_meta`` maps rule id -> one-line description; rules that
-    produced findings but have no entry still appear in the driver
-    metadata with an empty description, so every ``result.ruleId``
-    resolves.  Produced for CI upload (``repro lint --format sarif``).
-    """
-    rule_meta = dict(rule_meta or {})
-    for finding in findings:
-        rule_meta.setdefault(finding.rule_id, "")
-    rules = [
-        {
-            "id": rule_id,
-            "shortDescription": {"text": rule_meta[rule_id] or rule_id},
-        }
-        for rule_id in sorted(rule_meta)
-    ]
-    rule_index = {r["id"]: i for i, r in enumerate(rules)}
-    results = []
-    for finding in findings:
-        region: dict = {
-            "startLine": finding.line,
-            "startColumn": finding.col,
-        }
-        if finding.end_line is not None:
-            region["endLine"] = finding.end_line
-        result = {
-            "ruleId": finding.rule_id,
-            "ruleIndex": rule_index[finding.rule_id],
-            "level": _sarif_level(finding.severity),
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": finding.path.replace("\\", "/"),
-                    },
-                    "region": region,
-                },
-            }],
-        }
-        if finding.symbol:
-            result["locations"][0]["logicalLocations"] = [
-                {"fullyQualifiedName": finding.symbol},
-            ]
-        results.append(result)
-    report = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro-lint",
-                    "rules": rules,
-                },
-            },
-            "results": results,
-        }],
-    }
-    return json.dumps(report, indent=2)

@@ -61,8 +61,7 @@ def lint_source(source: str, path: str,
     lint snippets against a virtual location.  When a
     ``suppression_registry`` dict is passed, the file's
     :class:`~repro.lint.pragmas.Suppressions` object (with its usage
-    marks) is stored under ``path`` so callers can detect dead pragmas
-    across both lint tiers.
+    marks) is stored under ``path`` so callers can detect dead pragmas.
     """
     try:
         tree = ast.parse(source, filename=path)

@@ -81,35 +81,18 @@ def test_all_modules_enumerates_the_tree_sorted(tree):
         root=tree).all_modules()
 
 
-def test_module_name_of_inverts_module_path(tree):
-    index = SourceIndex(root=tree)
-    for modname in index.all_modules():
-        assert index.module_name_of(index.module_path(modname)) == modname
-    assert index.module_name_of(tree / ".." / "elsewhere.py") is None
-    assert index.module_name_of(tree / "a.txt") is None
-
-
-def test_dependents_closure_is_the_reverse_of_imports(tree):
-    index = SourceIndex(root=tree)
-    # a imports b and sub.c; c imports d and b — so editing d
-    # invalidates c and a but never b
-    assert set(index.dependents_closure(["repro.sub.d"])) >= {
-        "repro.sub.d", "repro.sub.c", "repro.a"}
-    assert "repro.b" not in index.dependents_closure(["repro.sub.d"])
-    assert set(index.dependents_closure(["repro.b"])) == {
-        "repro.a", "repro.b", "repro.sub.c"}
-
-
 def test_resolve_import_from_handles_relative_levels(tree):
     import ast
 
     index = SourceIndex(root=tree)
-    node = ast.parse("from . import d").body[0]
-    assert index.resolve_import_from("repro.sub.c", node) == "repro.sub"
-    node = ast.parse("from ..b import something").body[0]
-    assert index.resolve_import_from("repro.sub.c", node) == "repro.b"
-    node = ast.parse("from repro.sub import c").body[0]
-    assert index.resolve_import_from("repro.a", node) == "repro.sub"
+
+    def resolve(modname, statement):
+        node = ast.parse(statement).body[0]
+        return index._from_base(modname, node.level, node.module)
+
+    assert resolve("repro.sub.c", "from . import d") == "repro.sub"
+    assert resolve("repro.sub.c", "from ..b import something") == "repro.b"
+    assert resolve("repro.a", "from repro.sub import c") == "repro.sub"
 
 
 # ----------------------------------------------------------------------

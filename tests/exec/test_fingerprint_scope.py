@@ -18,7 +18,7 @@ def _reference_imports(index: SourceIndex, modname: str) -> tuple[str, ...]:
             found.update(alias.name for alias in node.names
                          if index.module_path(alias.name) is not None)
         elif isinstance(node, ast.ImportFrom):
-            base = index.resolve_import_from(modname, node)
+            base = index._from_base(modname, node.level, node.module)
             if base is None:
                 continue
             if index.module_path(base) is not None:

@@ -59,6 +59,9 @@ def test_register_rejects_lambdas(scratch_registry):
     with pytest.raises(TypeError, match="module-level"):
         register_scenario("x.lambda", lambda: None,
                           kind="atm")
+    with pytest.raises(TypeError, match="param_deps"):
+        register_scenario("x.param_deps", module_level_entry, kind="atm",
+                          param_deps=lambda params: ())
 
 
 def test_register_rejects_closures(scratch_registry):

@@ -1,78 +1,31 @@
-"""The lint CLI surface: two tiers, formats, baseline, cache flags."""
+"""The lint CLI surface: `repro lint`, --changed, dead-pragma reports."""
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.lint.cli import run
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = str(REPO_ROOT / "src")
-BASELINE = str(REPO_ROOT / "lint-baseline.json")
-PACKAGE_ROOT = str(REPO_ROOT / "src" / "repro")
 
 
 @pytest.fixture(autouse=True)
 def _run_in_repo_root(monkeypatch):
-    """Project paths (and the default baseline) resolve from the repo
-    root, which is where the lint gate runs."""
+    """--changed paths come from git relative to the repo root, which is
+    where the lint gate runs."""
     monkeypatch.chdir(REPO_ROOT)
 
 
-def test_list_rules_shows_both_tiers(capsys):
+def test_list_rules_through_repro_lint(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "DET001" in out and "CONC001" in out and "UNI002" in out
-    assert "project passes" in out
+    assert "DET001" in out and "SRV001" in out
 
 
 def test_unknown_rule_id_is_a_usage_error(capsys):
     assert main(["lint", "--select", "NOPE01", SRC]) == 2
     assert "unknown rule id" in capsys.readouterr().out
-
-
-def test_project_run_is_clean_with_baseline(capsys):
-    assert main(["lint", "--project", "--package-root", PACKAGE_ROOT,
-                 "--baseline", BASELINE, SRC]) == 0
-    out = capsys.readouterr().out
-    assert "modules analyzed" in out
-    assert "1 baselined" in out
-
-
-def test_project_select_runs_only_project_passes(capsys):
-    code = run([SRC], project=True, package_root=PACKAGE_ROOT,
-               baseline_path=BASELINE, select=["CONC002"])
-    assert code == 0
-
-
-def test_missing_explicit_baseline_is_a_usage_error(capsys):
-    assert main(["lint", "--project", "--package-root", PACKAGE_ROOT,
-                 "--baseline", "does-not-exist.json", SRC]) == 2
-    assert "no such baseline" in capsys.readouterr().out
-
-
-def test_sarif_output_file(tmp_path, capsys):
-    out_file = tmp_path / "report.sarif"
-    assert main(["lint", "--project", "--package-root", PACKAGE_ROOT,
-                 "--baseline", BASELINE, "--format", "sarif",
-                 "--output", str(out_file), SRC]) == 0
-    report = json.loads(out_file.read_text())
-    assert report["version"] == "2.1.0"
-    rule_ids = {r["id"] for r in
-                report["runs"][0]["tool"]["driver"]["rules"]}
-    assert {"DET001", "CONC001", "DTT001", "UNI001"} <= rule_ids
-
-
-def test_cache_dir_round_trip(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    args = ["lint", "--project", "--package-root", PACKAGE_ROOT,
-            "--baseline", BASELINE, "--cache-dir", cache, SRC]
-    assert main(args) == 0
-    capsys.readouterr()
-    assert main(args) == 0
-    assert "(cached)" in capsys.readouterr().out
 
 
 def test_report_unused_pragmas_rejects_partial_runs(capsys):
@@ -96,11 +49,10 @@ def test_report_unused_pragmas_flags_a_dead_pragma(tmp_path, capsys,
 def test_changed_against_head_is_clean(capsys):
     # the worktree may legitimately differ from HEAD mid-development;
     # the gate here is only that the scoped run works end to end
-    code = main(["lint", "--changed", "HEAD", "--project",
-                 "--package-root", PACKAGE_ROOT,
-                 "--baseline", BASELINE, SRC])
+    code = main(["lint", "--changed", "HEAD", SRC])
     assert code in (0, 1)
-    assert "project:" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "clean" in out or "finding" in out
 
 
 def test_changed_keeps_the_walk_exclusions(capsys):
@@ -110,7 +62,6 @@ def test_changed_keeps_the_walk_exclusions(capsys):
     from repro.lint.cli import _in_excluded_dir
 
     assert _in_excluded_dir("tests/lint/fixtures/repro/sim/bad.py")
-    assert _in_excluded_dir("tests/lint/project/fixtures/det/repro/x.py")
     assert not _in_excluded_dir("src/repro/sim/engine.py")
     assert not _in_excluded_dir("tests/lint/test_cli_lint.py")
 

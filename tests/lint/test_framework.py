@@ -10,7 +10,7 @@ from tests.lint.helpers import fixture_path, lint_snippet
 
 RULE_IDS = {"DET001", "DET002", "DET003", "DET004",
             "UNT001", "UNT002", "FLT001", "SIM001", "SIM002",
-            "PRF001", "OBS001", "OBS002", "EXE001", "SRV001", "FLD001"}
+            "PRF001", "OBS001", "OBS002", "SRV001"}
 
 VIOLATION = "import random\nx = random.uniform(0.0, 1.0)\n"
 

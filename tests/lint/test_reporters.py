@@ -1,10 +1,10 @@
-"""Reporter output contracts: text, JSON schema stability, SARIF."""
+"""Reporter output contracts: text and JSON schema stability."""
 
 import json
 
 from repro.lint.findings import Finding, Severity
 from repro.lint.reporters import (JSON_SCHEMA_VERSION, render_json,
-                                  render_sarif, render_text)
+                                  render_text)
 
 
 def _finding(**overrides):
@@ -29,54 +29,3 @@ def test_json_schema_is_stable_for_empty_findings():
         "files_checked": 12,
         "findings": [],
     }
-
-
-def test_json_includes_optional_fields_only_when_set():
-    plain, rich = json.loads(render_json(
-        [_finding(),
-         _finding(line=20, end_line=24, symbol="repro.sim.engine.run")],
-        2))["findings"]
-    assert "end_line" not in plain and "symbol" not in plain
-    assert rich["end_line"] == 24
-    assert rich["symbol"] == "repro.sim.engine.run"
-    assert set(plain) == {"path", "line", "col", "rule", "severity",
-                          "message"}
-
-
-def test_sarif_empty_report_is_valid_shell():
-    report = json.loads(render_sarif([]))
-    assert report["version"] == "2.1.0"
-    run = report["runs"][0]
-    assert run["results"] == []
-    assert run["tool"]["driver"]["name"] == "repro-lint"
-
-
-def test_sarif_results_reference_declared_rules():
-    findings = [
-        _finding(),
-        _finding(rule_id="CONC001", severity=Severity.ERROR, line=3,
-                 end_line=9, symbol="repro.serve.state.PENDING"),
-    ]
-    report = json.loads(render_sarif(
-        findings, rule_meta={"DET001": "global random",
-                             "CONC001": "cross-domain state"}))
-    run = report["runs"][0]
-    rules = run["tool"]["driver"]["rules"]
-    ids = [r["id"] for r in rules]
-    assert ids == sorted(ids)
-    for result in run["results"]:
-        assert rules[result["ruleIndex"]]["id"] == result["ruleId"]
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1 and region["startColumn"] >= 1
-    conc = next(r for r in run["results"] if r["ruleId"] == "CONC001")
-    assert conc["locations"][0]["physicalLocation"]["region"][
-        "endLine"] == 9
-    assert conc["locations"][0]["logicalLocations"][0][
-        "fullyQualifiedName"] == "repro.serve.state.PENDING"
-    assert conc["level"] == "error"
-
-
-def test_sarif_includes_rules_missing_from_meta():
-    report = json.loads(render_sarif([_finding(rule_id="UNI001")]))
-    assert [r["id"] for r in
-            report["runs"][0]["tool"]["driver"]["rules"]] == ["UNI001"]

@@ -73,6 +73,19 @@ def test_http_results_match_local_jobs1_execution(serve_app):
     assert remote["fingerprint"] == task_fingerprint(spec)
 
 
+def test_gateway_jobs_never_create_a_process_pool(serve_app, monkeypatch):
+    """Bridge threads must not fork: a child forked from a process with
+    running threads inherits their held locks.  ``execute_spec`` pins
+    ``jobs=1``, so a gateway job runs in-process on its bridge thread."""
+    def no_pool(jobs):
+        raise AssertionError("gateway job reached process-pool creation")
+
+    monkeypatch.setattr("repro.exec.pool._make_pool", no_pool)
+    server = serve_app()
+    final = server.client().submit_and_wait(**SMALL, deadline_s=60)
+    assert final["state"] == "ok"
+
+
 def test_resubmission_is_served_from_cache_bit_identically(serve_app):
     server = serve_app()
     client = server.client()

@@ -28,39 +28,12 @@ def test_fixture_directory_is_excluded_from_the_walk():
     assert findings == []
 
 
-def test_project_tier_is_clean_against_the_baseline():
-    """The whole-program passes must report nothing new.
-
-    Accepted findings live in ``lint-baseline.json`` with per-entry
-    justifications; anything outside it fails here, and so does a
-    baseline entry that no longer matches (the baseline may only
-    shrink toward zero).
-    """
-    from repro.exec.fingerprint import SourceIndex
-    from repro.lint.project import analyze_project, load_baseline
-
-    baseline = load_baseline(str(REPO_ROOT / "lint-baseline.json"))
-    report = analyze_project(SourceIndex(REPO_ROOT / "src" / "repro"),
-                             baseline=baseline)
-    assert report.modules_analyzed > 50, \
-        "project walk found suspiciously few modules"
-    rendered = "\n".join(f.render() for f in report.findings)
-    assert not report.findings, f"project findings in tree:\n{rendered}"
-    stale = "\n".join(e.render() for e in report.stale_baseline)
-    assert not report.stale_baseline, f"stale baseline entries:\n{stale}"
-
-
 def test_no_dead_suppression_pragmas_in_tree():
-    # run both tiers with the full rule set, then every pragma in the
-    # tree must have fired at least once
-    from repro.exec.fingerprint import SourceIndex
-    from repro.lint.project import analyze_project
-
+    # run the full rule set, then every pragma in the tree must have
+    # fired at least once
     registry: dict = {}
     lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")],
                suppression_registry=registry)
-    analyze_project(SourceIndex(REPO_ROOT / "src" / "repro"),
-                    suppression_registry=registry)
     dead = {path: supp.unused() for path, supp in registry.items()
             if supp.unused()}
     assert not dead, f"dead suppression pragmas: {dead}"
