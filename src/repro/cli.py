@@ -3,9 +3,9 @@
 Examples::
 
     python -m repro list
-    python -m repro atm --scenario staggered --algorithm phantom
-    python -m repro atm --scenario onoff --algorithm capc --duration 0.5
-    python -m repro tcp --scenario rtt --policy selective-discard
+    python -m repro run atm.staggered --set algorithm=phantom
+    python -m repro run atm.onoff --set algorithm=capc --set duration=0.5
+    python -m repro run tcp.rtt --set policy=selective-discard
     python -m repro maxmin --link l1=150 --link l2=150 \\
         --session long=l1,l2 --session s1=l1 --factor 5
 """
@@ -15,169 +15,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import Callable, Sequence
 
 from repro.exec.entries import ATM_ALGORITHMS, TCP_POLICIES, resolve
 
-# Every table below holds names, and every command imports what it runs,
-# so `python -m repro suite` never loads the simulator, the linter or the
-# gateway.  ATM_ALGORITHMS and TCP_POLICIES are repro.exec.entries'
-# tables: a flag value means what the same name means in a task spec.
-
-#: ``repro atm --scenario`` value -> builder.
-ATM_SCENARIOS = {
-    "staggered": "repro.scenarios.atm.staggered_start",
-    "onoff": "repro.scenarios.atm.on_off",
-    "rtt": "repro.scenarios.atm.rtt_spread",
-    "parking-lot": "repro.scenarios.atm.parking_lot",
-    "transient": "repro.scenarios.atm.transient",
-}
-
-#: ``repro tcp --scenario`` value -> builder.
-TCP_SCENARIOS = {
-    "rtt": "repro.scenarios.tcp.rtt_fairness",
-    "parking-lot": "repro.scenarios.tcp.tcp_parking_lot",
-    "many": "repro.scenarios.tcp.many_flows",
-    "vegas": "repro.scenarios.tcp.vegas_thresholds",
-    "mixed": "repro.scenarios.tcp.mixed_stacks",
-}
+# Every command imports what it runs, so `python -m repro suite` never
+# loads the simulator, the linter or the gateway.
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     from repro.exec.registry import all_scenarios
 
-    print("ATM scenarios :", ", ".join(sorted(ATM_SCENARIOS)))
-    print("ATM algorithms:", ", ".join(sorted(ATM_ALGORITHMS)))
-    print("TCP scenarios :", ", ".join(sorted(TCP_SCENARIOS)))
-    print("TCP policies  :", ", ".join(sorted(TCP_POLICIES)))
-    # the registry names are the valid `scenario` values for both
-    # `repro suite/sweep` and the serve API's POST /jobs
-    print("exec scenarios:", ", ".join(all_scenarios()))
-    return 0
-
-
-#: Registry-equivalent scenario names (repro.exec.entries) for the
-#: CLI's flag-level names, so the HealthReport's oracle gating judges
-#: `repro atm/tcp` runs exactly like `repro suite` tasks.
-HEALTH_SCENARIOS = {
-    "atm": {"staggered": "atm.staggered", "rtt": "atm.rtt",
-            "onoff": "atm.onoff", "parking-lot": "atm.parking",
-            "transient": "atm.transient"},
-    "tcp": {"rtt": "tcp.rtt", "parking-lot": "tcp.parking",
-            "many": "tcp.many", "vegas": "tcp.vegas",
-            "mixed": "tcp.mixed"},
-}
-
-
-def _write_obs_artifacts(command: str, params: dict, run, tracer,
-                         wall_s: float, trace_path: str,
-                         manifest_path: str, seed=None,
-                         health_scenario: str | None = None) -> None:
-    """Write the run's trace (when recorded) and manifest (unless
-    disabled with ``--manifest ''``), with the run's HealthReport
-    folded into the manifest."""
-    from repro import obs
-
-    if tracer is not None and trace_path:
-        obs.write_trace_jsonl(trace_path, tracer,
-                              meta={"command": command, **params})
-        print(f"\nwrote {trace_path} ({len(tracer.events)} events)")
-    if manifest_path:
-        registry = obs.registry_from_run(run)
-        health = obs.build_health(run, scenario=health_scenario,
-                                  params=params)
-        manifest = obs.build_manifest(
-            command=command, params=params, seed=seed,
-            metrics=registry.summary(), wall_s=wall_s,
-            trace_path=trace_path or None, health=health)
-        obs.write_manifest(manifest_path, manifest)
-        print(f"wrote {manifest_path} (health: {health['verdict']})")
-
-
-def _cmd_atm(args: argparse.Namespace) -> int:
-    from repro.analysis import format_table, jain_index, print_series
-
-    algorithm = resolve(ATM_ALGORITHMS[args.algorithm][0])
-    scenario = resolve(ATM_SCENARIOS[args.scenario])
-    kwargs = {"duration": args.duration}
-    if args.scenario == "staggered" and args.sessions is not None:
-        kwargs["n_sessions"] = args.sessions
-    if args.scenario == "onoff" and args.seed is not None:
-        kwargs["seed"] = args.seed
-    tracer = None
-    if args.trace:
-        from repro.obs import Tracer
-        tracer = Tracer()
-        kwargs["tracer"] = tracer
-    # wall-clock read is the measurement itself (CLI layer, not
-    # simulation code); the simulated outcome stays deterministic
-    start = time.perf_counter()  # lint: disable=DET002
-    run = scenario(algorithm, **kwargs)
-    wall_s = time.perf_counter() - start  # lint: disable=DET002
-
-    series = {f"ACR {vc} [Mb/s]": s.acr_probe
-              for vc, s in run.net.sessions.items()}
-    if run.macr_probe is not None:
-        series["MACR [Mb/s]"] = run.macr_probe
-    series["queue [cells]"] = run.queue_probe
-    print_series(f"{args.scenario} under {args.algorithm}", series,
-                 start=0.0, end=args.duration)
-
-    rates = run.steady_rates()
-    queue = run.queue_stats()
-    print()
-    print(format_table(
-        ["session", "steady rate Mb/s"],
-        [[vc, rate] for vc, rate in sorted(rates.items())]))
-    print()
-    print(f"Jain index : {jain_index(rates.values()):.4f}")
-    print(f"utilisation: {run.utilization():.3f}")
-    print(f"queue      : peak {queue['max']:.0f}, "
-          f"mean {queue['mean']:.1f} cells")
-    params = {"scenario": args.scenario, "algorithm": args.algorithm,
-              "duration": args.duration}
-    if args.sessions is not None:
-        params["sessions"] = args.sessions
-    _write_obs_artifacts("atm", params, run, tracer, wall_s,
-                         args.trace, args.manifest,
-                         seed=kwargs.get("seed"),
-                         health_scenario=HEALTH_SCENARIOS["atm"]
-                         [args.scenario])
-    return 0
-
-
-def _cmd_tcp(args: argparse.Namespace) -> int:
-    from repro.analysis import format_table, jain_index
-
-    policy = resolve(TCP_POLICIES[args.policy][0])
-    scenario = resolve(TCP_SCENARIOS[args.scenario])
-    kwargs = {"duration": args.duration}
-    tracer = None
-    if args.trace:
-        from repro.obs import Tracer
-        tracer = Tracer()
-        kwargs["tracer"] = tracer
-    # wall-clock read is the measurement itself (CLI layer); see _cmd_atm
-    start = time.perf_counter()  # lint: disable=DET002
-    run = scenario(policy(), **kwargs)
-    wall_s = time.perf_counter() - start  # lint: disable=DET002
-
-    rates = run.goodputs()
-    print(format_table(
-        ["flow", "goodput Mb/s"],
-        [[f, r] for f, r in sorted(rates.items())]))
-    print()
-    print(f"Jain index  : {jain_index(rates.values()):.4f}")
-    print(f"total       : {run.total_goodput():.2f} Mb/s")
-    print(f"bottleneck q: peak {run.queue_stats()['max']:.0f}, "
-          f"mean {run.queue_stats()['mean']:.1f} packets")
-    params = {"scenario": args.scenario, "policy": args.policy,
-              "duration": args.duration}
-    _write_obs_artifacts("tcp", params, run, tracer, wall_s,
-                         args.trace, args.manifest,
-                         health_scenario=HEALTH_SCENARIOS["tcp"]
-                         [args.scenario])
+    # the registry names are the valid NAMEs for `repro run`, the
+    # `--scenario` of `repro sweep` and the serve API's POST /jobs
+    print("scenarios :", ", ".join(all_scenarios()))
+    print("algorithms:", ", ".join(sorted(ATM_ALGORITHMS)))
+    print("policies  :", ", ".join(sorted(TCP_POLICIES)))
     return 0
 
 
@@ -252,22 +105,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         else:
             print(f"\nwithin {args.factor:g}x of the {args.baseline} "
                   "baseline")
-    if args.record:
-        try:
-            committed = perf.read_report(args.baseline)
-        except (OSError, ValueError):
-            committed = None
-        if committed is not None:
-            drifts = perf.history_drift(report, committed)
-            if drifts:
-                print(f"\nwarning: wall/sim-sec drift beyond "
-                      f"{perf.HISTORY_WARN_FACTOR:g}x of "
-                      f"{args.baseline}:")
-                for drift in drifts:
-                    print(f"  {drift}")
-        entry = perf.append_history(args.history, report)
-        print(f"\nrecorded {len(entry['workloads'])} workload(s) in "
-              f"{args.history}")
     if args.output:
         perf.merge_report(args.output, "workloads", report["workloads"],
                           python=report["python"],
@@ -305,6 +142,12 @@ def _cmd_fluid(args: argparse.Namespace) -> int:
     return fluid_cli.run(args)
 
 
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.exec import cli as exec_cli
+
+    return exec_cli.run_single_command(args)
+
+
 def _cmd_suite(args: argparse.Namespace) -> int:
     from repro.exec import cli as exec_cli
 
@@ -327,36 +170,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import cli as serve_cli
 
     return serve_cli.run(args)
-
-
-def _add_atm_arguments(atm: argparse.ArgumentParser) -> None:
-    atm.add_argument("--scenario", choices=sorted(ATM_SCENARIOS),
-                     default="staggered")
-    atm.add_argument("--algorithm", choices=sorted(ATM_ALGORITHMS),
-                     default="phantom")
-    atm.add_argument("--duration", type=float, default=0.3)
-    atm.add_argument("--sessions", type=int, default=None,
-                     help="session count (staggered scenario only)")
-    atm.add_argument("--seed", type=int, default=None,
-                     help="RNG seed (onoff scenario only)")
-    atm.add_argument("--trace", default="",
-                     help="record a JSONL trace to this path (enables "
-                          "tracing; see docs/OBSERVABILITY.md)")
-    atm.add_argument("--manifest", default="repro_atm.manifest.json",
-                     help="run manifest path; '' to skip")
-
-
-def _add_tcp_arguments(tcp: argparse.ArgumentParser) -> None:
-    tcp.add_argument("--scenario", choices=sorted(TCP_SCENARIOS),
-                     default="rtt")
-    tcp.add_argument("--policy", choices=sorted(TCP_POLICIES),
-                     default="selective-discard")
-    tcp.add_argument("--duration", type=float, default=20.0)
-    tcp.add_argument("--trace", default="",
-                     help="record a JSONL trace to this path (enables "
-                          "tracing; see docs/OBSERVABILITY.md)")
-    tcp.add_argument("--manifest", default="repro_tcp.manifest.json",
-                     help="run manifest path; '' to skip")
 
 
 def _add_maxmin_arguments(maxmin: argparse.ArgumentParser) -> None:
@@ -388,12 +201,6 @@ def _add_perf_arguments(perf: argparse.ArgumentParser) -> None:
     perf.add_argument("--factor", type=float, default=2.0,
                       help="allowed wall/sim-sec regression factor "
                            "(default 2.0)")
-    perf.add_argument("--record", action="store_true",
-                      help="append this measurement to --history and "
-                           "warn (without failing) on >20%% wall/sim-sec "
-                           "drift against --baseline")
-    perf.add_argument("--history", default="BENCH_history.jsonl",
-                      help="append-only measurement log for --record")
 
 
 #: subcommand -> (help, what adds its arguments, what runs it).  The
@@ -401,8 +208,10 @@ def _add_perf_arguments(perf: argparse.ArgumentParser) -> None:
 #: subcommand's arguments are built.
 COMMANDS: dict[str, tuple[str, Callable | str | None, Callable]] = {
     "list": ("list scenarios, algorithms, policies", None, _cmd_list),
-    "atm": ("run an ATM scenario", _add_atm_arguments, _cmd_atm),
-    "tcp": ("run a TCP scenario", _add_tcp_arguments, _cmd_tcp),
+    "run": ("run one registry scenario in-process; print its metrics "
+            "and HealthReport, write its trace and manifest (exit 1 on "
+            "a violated verdict)",
+            "repro.exec.cli.add_run_arguments", _cmd_run),
     "maxmin": ("compute a (phantom) max-min allocation",
                _add_maxmin_arguments, _cmd_maxmin),
     "lint": ("statically check determinism, unit-safety, and sim-API "
@@ -410,11 +219,11 @@ COMMANDS: dict[str, tuple[str, Callable | str | None, Callable]] = {
              "repro.lint.cli.add_arguments", _cmd_lint),
     "perf": ("measure hot-path throughput and refresh BENCH_perf.json "
              "(see docs/PERFORMANCE.md)", _add_perf_arguments, _cmd_perf),
-    "obs": ("record, inspect, convert, and diff traces and run manifests "
-            "(see docs/OBSERVABILITY.md)",
+    "obs": ("inspect, convert, validate, and diff traces and run "
+            "manifests (see docs/OBSERVABILITY.md)",
             "repro.obs.cli.add_arguments", _cmd_obs),
-    "fluid": ("run, validate, and benchmark the fluid/hybrid simulation "
-              "tier (see docs/FLUID.md)",
+    "fluid": ("benchmark and validate the fluid/hybrid simulation tier "
+              "(see docs/FLUID.md)",
               "repro.fluid.cli.add_arguments", _cmd_fluid),
     "suite": ("run the experiment suite (E01-E26) across worker processes "
               "with result caching (see docs/EXECUTION.md)",

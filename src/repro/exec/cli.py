@@ -1,10 +1,14 @@
-"""``repro suite`` and ``repro sweep``: batch execution front-ends.
+"""``repro run``, ``repro suite`` and ``repro sweep``: the execution
+front-ends.
 
-``suite`` fans the experiment index (E01–E26) across worker processes
-and writes one merged run manifest; ``sweep`` expands a declarative
-parameter grid for a single scenario.  Both share the executor flags
+``run`` executes one registry scenario in-process, through the worker
+code a suite task runs, and writes its trace and manifest; ``suite``
+fans the experiment index (E01–E26) across worker processes and writes
+one merged run manifest; ``sweep`` expands a declarative parameter grid
+for a single scenario.  ``suite`` and ``sweep`` share the executor flags
 (``-j``, ``--cache-dir``/``--no-cache``, ``--timeout``, ``--retries``)
-and both exit non-zero when any task fails.
+and exit non-zero when any task fails; ``run`` and ``sweep`` share the
+``--set`` parser.  A bad scenario name or ``--set`` pair exits 2.
 """
 
 from __future__ import annotations
@@ -12,14 +16,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
-from typing import Any, Sequence
+from inspect import signature
+from typing import Any, NoReturn, Sequence
 
 from repro.analysis import format_table
 from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.exec.pool import ExecResult, default_jobs, run_tasks
-from repro.exec.registry import all_scenarios
-from repro.exec.suite import experiment_ids, suite_specs, sweep_specs
+from repro.exec.registry import ScenarioEntry, all_scenarios
+from repro.exec.suite import (experiment_ids, set_dotted, suite_specs,
+                              sweep_specs)
 
 #: Schema stamped into ``--output`` reports.
 REPORT_SCHEMA = "repro.exec.report"
@@ -71,20 +78,39 @@ def add_suite_arguments(parser: argparse.ArgumentParser) -> None:
     _add_executor_arguments(parser)
 
 
+def _add_set_argument(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--set", action="append", default=[],
+                        metavar="KEY=VALUE", dest="settings",
+                        help=what + "; dotted keys reach nested params "
+                             "(algorithm_params.interval=2e-3), values "
+                             "parse as JSON, falling back to strings; "
+                             "repeatable")
+
+
+def add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("name", metavar="NAME",
+                        help="registered scenario (see `repro list`), "
+                             "e.g. atm.staggered")
+    _add_set_argument(parser, "entry keyword, seed included (seed=3)")
+    parser.add_argument("--trace", default="",
+                        help="record a JSONL trace to this path (see "
+                             "docs/OBSERVABILITY.md)")
+    parser.add_argument("--manifest", default="repro_run.manifest.json",
+                        help="run manifest path, the HealthReport "
+                             "included; '' to skip")
+
+
 def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True,
                         help="registered scenario name (see "
-                             "`repro suite --list-scenarios`); e.g. "
-                             "atm.staggered")
+                             "`repro list`); e.g. atm.staggered")
     parser.add_argument("--param", action="append", default=[],
                         metavar="KEY=V1,V2,...",
                         help="sweep axis; dotted keys reach nested "
                              "params (algorithm_params.interval=1e-3,"
                              "2e-3); repeatable — axes form a cartesian "
                              "product")
-    parser.add_argument("--set", action="append", default=[],
-                        metavar="KEY=VALUE", dest="fixed",
-                        help="fixed (non-swept) parameter; repeatable")
+    _add_set_argument(parser, "fixed (non-swept) parameter")
     parser.add_argument("--probe", action="append", default=[],
                         metavar="NAME",
                         help="probe series to return per task "
@@ -110,14 +136,32 @@ def _parse_axes(pairs: Sequence[str]) -> dict[str, list[Any]]:
     return axes
 
 
-def _parse_fixed(pairs: Sequence[str]) -> dict[str, Any]:
-    fixed: dict[str, Any] = {}
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2, argparse's status for a bad command line."""
+    print(f"repro: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_settings(pairs: Sequence[str]) -> dict[str, Any]:
+    """``--set KEY=VALUE`` pairs as a (nested) params dict."""
+    params: dict[str, Any] = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not key or not sep:
-            raise SystemExit(f"bad --set {pair!r}; expected KEY=VALUE")
-        fixed[key] = _parse_value(value)
-    return fixed
+            _usage_error(f"bad --set {pair!r}; expected KEY=VALUE")
+        try:
+            set_dotted(params, key, _parse_value(value))
+        except TypeError as exc:
+            _usage_error(f"bad --set {pair!r}: {exc}")
+    return params
+
+
+def _entry(name: str) -> ScenarioEntry:
+    known = all_scenarios()
+    if name not in known:
+        _usage_error(f"unknown scenario {name!r}; known: "
+                     f"{', '.join(known)}")
+    return known[name]
 
 
 def _cache(args: argparse.Namespace) -> ResultCache | None:
@@ -326,15 +370,81 @@ def _record_bench(path: str, results: Sequence[ExecResult],
     print(f"recorded suite timing in {path}")
 
 
+def run_single_command(args: argparse.Namespace) -> int:
+    from repro import obs
+    from repro.exec.spec import TaskSpec
+    from repro.exec.worker import execute_task
+
+    entry = _entry(args.name)
+    params = parse_settings(args.settings)
+    # a live tracer is the one keyword no spec carries
+    accepted = set(signature(entry.fn).parameters) - {"tracer"}
+    unknown = sorted(set(params) - accepted)
+    if unknown:
+        _usage_error(f"{args.name} takes no {', '.join(unknown)}; its "
+                     f"keys: {', '.join(sorted(accepted))}")
+    seed = params.pop("seed", None)
+    config = params.pop("config", None)
+    try:
+        spec = TaskSpec(task_id=args.name, scenario=args.name,
+                        params=params, seed=seed, config=config)
+    except (TypeError, ValueError) as exc:
+        _usage_error(str(exc))
+    tracer = obs.Tracer() if args.trace else None
+    result = execute_task({"spec": spec.to_dict()}, tracer=tracer)
+    if result["status"] != "ok":
+        print(result["error"], file=sys.stderr)
+        return 1
+
+    health = result["health"]
+    print(format_table(["metric", "value"],
+                       [[key, f"{value:.6g}"] for key, value
+                        in result["metrics"].items()]))
+    print(f"\nevents   : {result['executed_events']} in "
+          f"{result['wall_s']:.2f}s wall")
+    _print_run_health(health)
+    described = {"scenario": args.name, **spec.effective_params()}
+    if tracer is not None:
+        obs.write_trace_jsonl(args.trace, tracer,
+                              meta={"command": "run", **described})
+        print(f"\nwrote {args.trace} ({len(tracer.events)} events)")
+    if args.manifest:
+        obs.write_manifest(args.manifest, obs.build_manifest(
+            command="run", params=described, seed=spec.seed,
+            metrics=result["metrics"], wall_s=result["wall_s"],
+            trace_path=args.trace or None, health=health))
+        print(f"wrote {args.manifest} (health: {health['verdict']})")
+    return 1 if health["verdict"] == "violated" else 0
+
+
+def _print_run_health(report: dict[str, Any]) -> None:
+    print(f"verdict  : {report['verdict']}")
+    oracle = report.get("oracle")
+    if oracle:
+        shares = " ".join(f"{name}={rate:.2f}"
+                          for name, rate in oracle.items())
+        print(f"oracle   : {shares} Mb/s")
+    print("checks   :")
+    for check in report["checks"]:
+        line = f"  {check['name']:<20} {check['verdict']}"
+        ts = check["first_violation_ts"]
+        if ts is not None:
+            line += f"  (first violation at t={ts:.6f}s)"
+        reason = check["evidence"].get("reason")
+        if reason:
+            line += f"  ({reason})"
+        print(line)
+        if check["verdict"] == "violated":
+            for key, value in check["evidence"].items():
+                print(f"      {key}: {value}")
+
+
 def run_sweep_command(args: argparse.Namespace) -> int:
-    known = all_scenarios()
-    if args.scenario not in known:
-        raise SystemExit(f"unknown scenario {args.scenario!r}; known: "
-                         f"{', '.join(sorted(known))}")
+    _entry(args.scenario)
     axes = _parse_axes(args.param)
     if not axes:
         raise SystemExit("sweep needs at least one --param axis")
-    base = _parse_fixed(args.fixed)
+    base = parse_settings(args.settings)
     specs = sweep_specs(args.scenario, axes, base=base, seed=args.seed,
                         probes=tuple(args.probe))
     cache = _cache(args)

@@ -1,11 +1,14 @@
 """Builtin scenario entry points.
 
-Each entry is a module-level function (lint rule EXE001) taking only
-JSON-able keyword arguments — algorithm and policy choices travel as
-*names* and are resolved here, inside the worker, against the same
-tables the CLI uses.  Entries return the run handles the scenario
-builders produce (:class:`~repro.scenarios.results.AtmRun` /
-``TcpRun``), which the worker reduces to metrics and probe digests.
+Each entry is a module-level function (``register_scenario`` rejects
+anything else) taking only JSON-able keyword arguments — algorithm and
+policy choices travel as *names* and are resolved here, inside the
+worker, against the same tables the CLI uses — plus ``tracer``, which
+no spec carries: ``repro run --trace`` hands a live
+:class:`~repro.obs.Tracer` to the same entry a suite task calls.
+Entries return the run handles the scenario builders produce
+(:class:`~repro.scenarios.results.AtmRun` / ``TcpRun``), which the
+worker reduces to metrics and probe digests.
 
 Registering an entry imports nothing from the simulator: each entry
 imports its builder in its own body, and the algorithm and policy
@@ -140,26 +143,27 @@ def atm_staggered(algorithm: str = "phantom",
                   session_params: Mapping[str, Any] | None = None,
                   n_sessions: int = 2, stagger: float = 0.03,
                   duration: float = 0.25,
-                  link_rate: float = 150.0) -> AtmRun:
+                  link_rate: float = 150.0, tracer=None) -> AtmRun:
     from repro.scenarios.atm import staggered_start
 
     return staggered_start(
         _algorithm_factory(algorithm, algorithm_params),
         n_sessions=n_sessions, stagger=stagger, duration=duration,
-        link_rate=link_rate, **_abr_params(session_params))
+        link_rate=link_rate, tracer=tracer, **_abr_params(session_params))
 
 
 def atm_rtt(algorithm: str = "phantom",
             algorithm_params: Mapping[str, Any] | None = None,
             session_params: Mapping[str, Any] | None = None,
             access_delays: Sequence[float] = (1e-5, 5e-4, 2e-3),
-            duration: float = 0.3, link_rate: float = 150.0) -> AtmRun:
+            duration: float = 0.3, link_rate: float = 150.0,
+            tracer=None) -> AtmRun:
     from repro.scenarios.atm import rtt_spread
 
     return rtt_spread(
         _algorithm_factory(algorithm, algorithm_params),
         access_delays=tuple(access_delays), duration=duration,
-        link_rate=link_rate, **_abr_params(session_params))
+        link_rate=link_rate, tracer=tracer, **_abr_params(session_params))
 
 
 def atm_onoff(algorithm: str = "phantom",
@@ -167,13 +171,14 @@ def atm_onoff(algorithm: str = "phantom",
               session_params: Mapping[str, Any] | None = None,
               greedy: int = 1, bursty: int = 2, on_time: float = 0.02,
               off_time: float = 0.02, duration: float = 0.4,
-              link_rate: float = 150.0, seed: int | None = 7) -> AtmRun:
+              link_rate: float = 150.0, seed: int | None = 7,
+              tracer=None) -> AtmRun:
     from repro.scenarios.atm import on_off
 
     return on_off(
         _algorithm_factory(algorithm, algorithm_params),
         greedy=greedy, bursty=bursty, on_time=on_time, off_time=off_time,
-        duration=duration, link_rate=link_rate, seed=seed,
+        duration=duration, link_rate=link_rate, seed=seed, tracer=tracer,
         **_abr_params(session_params))
 
 
@@ -181,12 +186,12 @@ def atm_parking(algorithm: str = "phantom",
                 algorithm_params: Mapping[str, Any] | None = None,
                 session_params: Mapping[str, Any] | None = None,
                 hops: int = 3, duration: float = 0.3,
-                link_rate: float = 150.0) -> AtmRun:
+                link_rate: float = 150.0, tracer=None) -> AtmRun:
     from repro.scenarios.atm import parking_lot
 
     return parking_lot(
         _algorithm_factory(algorithm, algorithm_params),
-        hops=hops, duration=duration, link_rate=link_rate,
+        hops=hops, duration=duration, link_rate=link_rate, tracer=tracer,
         **_abr_params(session_params))
 
 
@@ -194,29 +199,29 @@ def atm_transient(algorithm: str = "phantom",
                   algorithm_params: Mapping[str, Any] | None = None,
                   session_params: Mapping[str, Any] | None = None,
                   duration: float = 0.4, join_at: float = 0.1,
-                  leave_at: float = 0.25,
-                  link_rate: float = 150.0) -> AtmRun:
+                  leave_at: float = 0.25, link_rate: float = 150.0,
+                  tracer=None) -> AtmRun:
     from repro.scenarios.atm import transient
 
     return transient(
         _algorithm_factory(algorithm, algorithm_params),
         duration=duration, join_at=join_at, leave_at=leave_at,
-        link_rate=link_rate, **_abr_params(session_params))
+        link_rate=link_rate, tracer=tracer, **_abr_params(session_params))
 
 
 def atm_background(algorithm: str = "phantom",
                    algorithm_params: Mapping[str, Any] | None = None,
                    n_sessions: int = 2, cbr_rate: float = 60.0,
                    cbr_start: float = 0.15, cbr_stop: float = 0.30,
-                   duration: float = 0.45,
-                   link_rate: float = 150.0) -> AtmRun:
+                   duration: float = 0.45, link_rate: float = 150.0,
+                   tracer=None) -> AtmRun:
     """ABR sessions sharing a trunk with a guaranteed CBR stream (E23)."""
     from repro.atm import AtmNetwork
     from repro.scenarios.results import AtmRun
 
     net = AtmNetwork(
         algorithm_factory=_algorithm_factory(algorithm, algorithm_params),
-        link_rate=link_rate)
+        link_rate=link_rate, tracer=tracer)
     net.add_switch("S1")
     net.add_switch("S2")
     net.connect("S1", "S2")
@@ -233,8 +238,8 @@ def atm_background(algorithm: str = "phantom",
 def atm_weighted(algorithm: str = "phantom",
                  algorithm_params: Mapping[str, Any] | None = None,
                  weights: Mapping[str, float] | None = None,
-                 duration: float = 0.3,
-                 link_rate: float = 150.0) -> AtmRun:
+                 duration: float = 0.3, link_rate: float = 150.0,
+                 tracer=None) -> AtmRun:
     """Weighted-Phantom fair-share split over one trunk (E25)."""
     from repro.atm import AbrParams, AtmNetwork
     from repro.scenarios.results import AtmRun
@@ -243,7 +248,7 @@ def atm_weighted(algorithm: str = "phantom",
         weights = {"w1": 1.0, "w2": 2.0, "w4": 4.0}
     net = AtmNetwork(
         algorithm_factory=_algorithm_factory(algorithm, algorithm_params),
-        link_rate=link_rate)
+        link_rate=link_rate, tracer=tracer)
     net.add_switch("S1")
     net.add_switch("S2")
     net.connect("S1", "S2")
@@ -256,8 +261,8 @@ def atm_weighted(algorithm: str = "phantom",
     return result
 
 
-def fuzz_generic(config: Mapping[str, Any],
-                 seed: int | None = None) -> AtmRun:
+def fuzz_generic(config: Mapping[str, Any], seed: int | None = None,
+                 tracer=None) -> AtmRun:
     """Config-driven ATM scenario — the fuzzer's resolution target.
 
     Unlike every other ATM entry, the whole scenario (topology,
@@ -272,7 +277,7 @@ def fuzz_generic(config: Mapping[str, Any],
         algorithm_factory=_algorithm_factory(
             config.get("algorithm", "phantom"),
             config.get("algorithm_params")),
-        seed=seed)
+        seed=seed, tracer=tracer)
 
 
 def fuzz_param_deps(params: dict) -> tuple[str, ...]:
@@ -298,14 +303,15 @@ def fluid_staggered(n_sessions: int = 2, stagger: float = 0.03,
                     use_ni: bool = False, ni_fraction: float = 0.8,
                     rm_loss: float = 0.0,
                     session_params: Mapping[str, Any] | None = None,
-                    phantom_params: Mapping[str, Any] | None = None):
+                    phantom_params: Mapping[str, Any] | None = None,
+                    tracer=None):
     from repro.fluid.scenarios import staggered_start
 
     return staggered_start(
         n_sessions=n_sessions, stagger=stagger, duration=duration,
         link_rate=link_rate, flows_per_session=flows_per_session,
         mode=mode, use_ni=use_ni, ni_fraction=ni_fraction,
-        rm_loss=rm_loss, **_abr_params(session_params),
+        rm_loss=rm_loss, tracer=tracer, **_abr_params(session_params),
         **_phantom_params(phantom_params))
 
 
@@ -314,25 +320,27 @@ def fluid_onoff(greedy: int = 1, bursty: int = 2, on_time: float = 0.02,
                 link_rate: float = 150.0, flows_per_session: int = 1,
                 seed: int | None = 7,
                 session_params: Mapping[str, Any] | None = None,
-                phantom_params: Mapping[str, Any] | None = None):
+                phantom_params: Mapping[str, Any] | None = None,
+                tracer=None):
     from repro.fluid.scenarios import on_off
 
     return on_off(
         greedy=greedy, bursty=bursty, on_time=on_time,
         off_time=off_time, duration=duration, link_rate=link_rate,
-        flows_per_session=flows_per_session, seed=seed,
+        flows_per_session=flows_per_session, seed=seed, tracer=tracer,
         **_abr_params(session_params), **_phantom_params(phantom_params))
 
 
 def fluid_parking(hops: int = 3, duration: float = 0.3,
                   link_rate: float = 150.0, flows_per_session: int = 1,
                   session_params: Mapping[str, Any] | None = None,
-                  phantom_params: Mapping[str, Any] | None = None):
+                  phantom_params: Mapping[str, Any] | None = None,
+                  tracer=None):
     from repro.fluid.scenarios import parking_lot
 
     return parking_lot(
         hops=hops, duration=duration, link_rate=link_rate,
-        flows_per_session=flows_per_session,
+        flows_per_session=flows_per_session, tracer=tracer,
         **_abr_params(session_params), **_phantom_params(phantom_params))
 
 
@@ -340,13 +348,15 @@ def fluid_transient(duration: float = 0.4, join_at: float = 0.1,
                     leave_at: float = 0.25, link_rate: float = 150.0,
                     flows_per_session: int = 1,
                     session_params: Mapping[str, Any] | None = None,
-                    phantom_params: Mapping[str, Any] | None = None):
+                    phantom_params: Mapping[str, Any] | None = None,
+                    tracer=None):
     from repro.fluid.scenarios import transient
 
     return transient(
         duration=duration, join_at=join_at, leave_at=leave_at,
         link_rate=link_rate, flows_per_session=flows_per_session,
-        **_abr_params(session_params), **_phantom_params(phantom_params))
+        tracer=tracer, **_abr_params(session_params),
+        **_phantom_params(phantom_params))
 
 
 def fluid_many(cohorts: int = 1000, flows_per_cohort: int = 1000,
@@ -354,15 +364,16 @@ def fluid_many(cohorts: int = 1000, flows_per_cohort: int = 1000,
                duration: float = 1.0, link_rate: float = 10000.0,
                record_cohorts: bool = False,
                session_params: Mapping[str, Any] | None = None,
-               phantom_params: Mapping[str, Any] | None = None):
+               phantom_params: Mapping[str, Any] | None = None,
+               tracer=None):
     from repro.fluid.scenarios import many_flows
 
     return many_flows(
         cohorts=cohorts, flows_per_cohort=flows_per_cohort,
         greedy=greedy, background_load=background_load,
         duration=duration, link_rate=link_rate,
-        record_cohorts=record_cohorts, **_abr_params(session_params),
-        **_phantom_params(phantom_params))
+        record_cohorts=record_cohorts, tracer=tracer,
+        **_abr_params(session_params), **_phantom_params(phantom_params))
 
 
 def fluid_hybrid_e01(foreground: int = 2, background: int = 500,
@@ -370,13 +381,14 @@ def fluid_hybrid_e01(foreground: int = 2, background: int = 500,
                      stagger: float = 0.03, duration: float = 0.25,
                      link_rate: float = 150.0,
                      session_params: Mapping[str, Any] | None = None,
-                     phantom_params: Mapping[str, Any] | None = None):
+                     phantom_params: Mapping[str, Any] | None = None,
+                     tracer=None):
     from repro.fluid.hybrid import hybrid_staggered
 
     return hybrid_staggered(
         foreground=foreground, background=background,
         background_demand_mbps=background_demand_mbps, stagger=stagger,
-        duration=duration, link_rate=link_rate,
+        duration=duration, link_rate=link_rate, tracer=tracer,
         **_abr_params(session_params), **_phantom_params(phantom_params))
 
 
@@ -386,71 +398,75 @@ def fluid_hybrid_e01(foreground: int = 2, background: int = 500,
 def tcp_rtt(policy: str = "selective-discard",
             policy_params: Mapping[str, Any] | None = None,
             access_delays: Sequence[float] = (1e-3, 4e-3),
-            duration: float = 30.0, trunk_rate: float = 10.0):
+            duration: float = 30.0, trunk_rate: float = 10.0,
+            tracer=None):
     from repro.scenarios.tcp import rtt_fairness
 
     return rtt_fairness(
         _policy_factory(policy, policy_params),
         access_delays=tuple(access_delays), duration=duration,
-        trunk_rate=trunk_rate)
+        trunk_rate=trunk_rate, tracer=tracer)
 
 
 def tcp_parking(policy: str = "selective-discard",
                 policy_params: Mapping[str, Any] | None = None,
                 hops: int = 3, duration: float = 30.0,
-                trunk_rate: float = 10.0):
+                trunk_rate: float = 10.0, tracer=None):
     from repro.scenarios.tcp import tcp_parking_lot
 
     return tcp_parking_lot(
         _policy_factory(policy, policy_params),
-        hops=hops, duration=duration, trunk_rate=trunk_rate)
+        hops=hops, duration=duration, trunk_rate=trunk_rate, tracer=tracer)
 
 
 def tcp_many(policy: str = "selective-discard",
              policy_params: Mapping[str, Any] | None = None,
              n_flows: int = 4, duration: float = 30.0,
-             trunk_rate: float = 10.0, access_delay: float = 2e-3):
+             trunk_rate: float = 10.0, access_delay: float = 2e-3,
+             tracer=None):
     from repro.scenarios.tcp import many_flows
 
     return many_flows(
         _policy_factory(policy, policy_params),
         n_flows=n_flows, duration=duration, trunk_rate=trunk_rate,
-        access_delay=access_delay)
+        access_delay=access_delay, tracer=tracer)
 
 
 def tcp_vegas(policy: str = "selective-discard",
               policy_params: Mapping[str, Any] | None = None,
               hungry: Sequence[float] = (8.0, 10.0),
               modest: Sequence[float] = (1.0, 2.0),
-              duration: float = 30.0, trunk_rate: float = 10.0):
+              duration: float = 30.0, trunk_rate: float = 10.0,
+              tracer=None):
     from repro.scenarios.tcp import vegas_thresholds
 
     return vegas_thresholds(
         _policy_factory(policy, policy_params),
         hungry=tuple(hungry), modest=tuple(modest), duration=duration,
-        trunk_rate=trunk_rate)
+        trunk_rate=trunk_rate, tracer=tracer)
 
 
 def tcp_mixed(policy: str = "selective-discard",
               policy_params: Mapping[str, Any] | None = None,
-              duration: float = 30.0, trunk_rate: float = 10.0):
+              duration: float = 30.0, trunk_rate: float = 10.0,
+              tracer=None):
     from repro.scenarios.tcp import mixed_stacks
 
     return mixed_stacks(
         _policy_factory(policy, policy_params),
-        duration=duration, trunk_rate=trunk_rate)
+        duration=duration, trunk_rate=trunk_rate, tracer=tracer)
 
 
 def tcp_twoway(policy: str = "selective-discard",
                policy_params: Mapping[str, Any] | None = None,
                flows_per_direction: int = 2, duration: float = 30.0,
-               trunk_rate: float = 10.0):
+               trunk_rate: float = 10.0, tracer=None):
     from repro.scenarios.tcp import two_way
 
     return two_way(
         _policy_factory(policy, policy_params),
         flows_per_direction=flows_per_direction, duration=duration,
-        trunk_rate=trunk_rate)
+        trunk_rate=trunk_rate, tracer=tracer)
 
 
 # ----------------------------------------------------------------------

@@ -156,14 +156,14 @@ def suite_specs(scale: float = 1.0, seed: int = 0,
 # ----------------------------------------------------------------------
 # parameter sweeps
 # ----------------------------------------------------------------------
-def _set_dotted(params: dict[str, Any], key: str, value: Any) -> None:
+def set_dotted(params: dict[str, Any], key: str, value: Any) -> None:
+    """Set ``value`` at a dotted ``key``, creating nested dicts."""
     parts = key.split(".")
     node = params
     for part in parts[:-1]:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
-            raise TypeError(
-                f"sweep key {key!r} descends into non-dict value")
+            raise TypeError(f"key {key!r} descends into a non-dict value")
     node[parts[-1]] = value
 
 
@@ -193,7 +193,7 @@ def sweep_specs(scenario: str, grid: Mapping[str, Sequence[Any]],
         params: dict[str, Any] = deepcopy(dict(base or {}))
         labels = []
         for (key, _), value in zip(axes, combo):
-            _set_dotted(params, key, value)
+            set_dotted(params, key, value)
             labels.append(_axis_label(key, value))
         task_id = f"{scenario}[{','.join(labels)}]"
         specs.append(TaskSpec(

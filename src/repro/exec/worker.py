@@ -90,12 +90,15 @@ def _failure(spec: TaskSpec, status: str, error: str) -> dict[str, Any]:
             "status": status, "error": error}
 
 
-def execute_task(payload: dict[str, Any]) -> dict[str, Any]:
+def execute_task(payload: dict[str, Any],
+                 tracer=None) -> dict[str, Any]:
     """Run one task described by ``payload`` and summarise the outcome.
 
     ``payload`` carries the spec's wire form and an optional per-task
     wall-clock ``timeout`` (seconds), enforced in-process via
-    ``SIGALRM`` where the platform has it.
+    ``SIGALRM`` where the platform has it.  ``tracer``, which no spec
+    carries, reaches the entry as its ``tracer`` keyword: ``repro run
+    --trace`` records a task through this same path.
     """
     spec = TaskSpec.from_dict(payload["spec"])
     timeout = payload.get("timeout")
@@ -117,7 +120,7 @@ def execute_task(payload: dict[str, Any]) -> dict[str, Any]:
     # simulation took), not simulation state; outcomes stay deterministic
     start = time.perf_counter()  # lint: disable=DET002
     try:
-        run = _call_entry(entry, spec)
+        run = _call_entry(entry, spec, tracer)
         wall_s = time.perf_counter() - start  # lint: disable=DET002
     except TaskTimeout:
         return _failure(spec, "timeout",
@@ -160,10 +163,12 @@ def execute_task(payload: dict[str, Any]) -> dict[str, Any]:
         return _failure(spec, "error", traceback.format_exc())
 
 
-def _call_entry(entry: ScenarioEntry, spec: TaskSpec):
+def _call_entry(entry: ScenarioEntry, spec: TaskSpec, tracer):
     kwargs = dict(spec.params)
     if spec.config is not None:
         kwargs["config"] = dict(spec.config)
     if entry.takes_seed and spec.seed is not None:
         kwargs["seed"] = spec.seed
+    if tracer is not None:
+        kwargs["tracer"] = tracer
     return entry.fn(**kwargs)

@@ -1,8 +1,10 @@
-"""``repro fluid`` — run, validate, and benchmark the fluid tier.
+"""``repro fluid`` — benchmark and validate the fluid tier.
+
+A single fluid scenario runs like any other registry scenario:
+``repro run fluid.staggered``.
 
 Subcommands::
 
-    repro fluid run       run a fluid scenario twin (E01/E02/E05 shapes)
     repro fluid many      the scale scenario: a million-flow trunk,
                           wall-clock vs simulated-time report
     repro fluid hybrid    packet foreground + fluid background; with
@@ -26,43 +28,10 @@ from repro.fluid import scenarios
 from repro.fluid.hybrid import hybrid_staggered, packet_twin
 from repro.fluid.validate import failures, validation_rows
 
-SCENARIOS = {
-    "staggered": scenarios.staggered_start,
-    "onoff": scenarios.on_off,
-    "parking": scenarios.parking_lot,
-    "transient": scenarios.transient,
-}
-
-#: Registry-equivalent names (repro.exec.entries) so the manifest's
-#: HealthReport gates its oracle checks exactly like `repro suite`.
-HEALTH_SCENARIOS = {
-    "staggered": "fluid.staggered",
-    "onoff": "fluid.onoff",
-    "parking": "fluid.parking",
-    "transient": "fluid.transient",
-}
-
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Install the ``repro fluid`` subcommands on ``parser``."""
     sub = parser.add_subparsers(dest="fluid_command", required=True)
-
-    run = sub.add_parser("run", help="run a fluid scenario twin")
-    run.add_argument("--scenario", choices=sorted(SCENARIOS),
-                     default="staggered")
-    run.add_argument("--duration", type=float, default=None,
-                     help="simulated horizon (default: scenario's own)")
-    run.add_argument("--sessions", type=int, default=None,
-                     help="session count (staggered scenario only)")
-    run.add_argument("--flows-per-session", type=int, default=1,
-                     help="flows per cohort (same per-step cost)")
-    run.add_argument("--seed", type=int, default=None,
-                     help="RNG seed (onoff scenario only)")
-    run.add_argument("--trace", default="",
-                     help="record a JSONL trace to this path")
-    run.add_argument("--manifest", default="repro_fluid.manifest.json",
-                     help="run manifest path; '' to skip")
-    run.set_defaults(fluid_fn=_cmd_run)
 
     many = sub.add_parser(
         "many", help="million-flow scale scenario with wall-clock report")
@@ -100,70 +69,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run(args: argparse.Namespace) -> int:
     return args.fluid_fn(args)
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = SCENARIOS[args.scenario]
-    kwargs = {"flows_per_session": args.flows_per_session}
-    if args.duration is not None:
-        kwargs["duration"] = args.duration
-    if args.scenario == "staggered" and args.sessions is not None:
-        kwargs["n_sessions"] = args.sessions
-    if args.scenario == "onoff" and args.seed is not None:
-        kwargs["seed"] = args.seed
-    tracer = None
-    if args.trace:
-        from repro.obs import Tracer
-        tracer = Tracer()
-        kwargs["tracer"] = tracer
-    # wall-clock read is the measurement itself (CLI layer, not
-    # simulation code); the simulated outcome stays deterministic
-    start = time.perf_counter()  # lint: disable=DET002
-    result = scenario(**kwargs)
-    wall_s = time.perf_counter() - start  # lint: disable=DET002
-
-    rates = result.steady_rates()
-    queue = result.queue_stats()
-    print(format_table(
-        ["cohort", "steady per-flow rate Mb/s"],
-        [[name, rate] for name, rate in sorted(rates.items())]))
-    print()
-    print(f"Jain index : {result.jain():.4f}")
-    print(f"utilisation: {result.utilization():.3f}")
-    print(f"queue      : peak {queue['max']:.0f}, "
-          f"mean {queue['mean']:.1f} cells")
-    print(f"steps      : {result.net.steps}")
-    params = {"scenario": args.scenario, "duration": result.duration,
-              "flows_per_session": args.flows_per_session}
-    if args.sessions is not None:
-        params["sessions"] = args.sessions
-    _write_obs_artifacts("fluid", params, result, tracer, wall_s,
-                         args.trace, args.manifest,
-                         seed=kwargs.get("seed"),
-                         health_scenario=HEALTH_SCENARIOS[args.scenario])
-    return 0
-
-
-def _write_obs_artifacts(command: str, params: dict, result, tracer,
-                         wall_s: float, trace_path: str,
-                         manifest_path: str, seed=None,
-                         health_scenario: str | None = None) -> None:
-    from repro import obs
-
-    if tracer is not None and trace_path:
-        obs.write_trace_jsonl(trace_path, tracer,
-                              meta={"command": command, **params})
-        print(f"\nwrote {trace_path} ({len(tracer.events)} events)")
-    if manifest_path:
-        registry = obs.registry_from_run(result)
-        health = obs.build_health(result, scenario=health_scenario,
-                                  params=params)
-        manifest = obs.build_manifest(
-            command=command, params=params, seed=seed,
-            metrics=registry.summary(), wall_s=wall_s,
-            trace_path=trace_path or None, health=health)
-        obs.write_manifest(manifest_path, manifest)
-        print(f"wrote {manifest_path} (health: {health['verdict']})")
 
 
 def _cmd_many(args: argparse.Namespace) -> int:

@@ -30,8 +30,8 @@ ACR stays clamped to ``[floor_mbps, pcr]`` like the packet source, and a
 cohort with zero demand receives **no** feedback at all — an idle packet
 source does not send RMs, so its ACR must not track ER while silent.
 
-Lint rule FLD001 keeps this module (and the rest of the fluid core)
-free of event-kernel and cell-level imports.
+``tests/fluid/test_imports.py`` keeps this module (and the rest of the
+fluid core) free of event-kernel and cell-level imports.
 """
 
 from __future__ import annotations

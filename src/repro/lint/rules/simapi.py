@@ -1,10 +1,11 @@
 """Sim-API rules (FLT*, SIM*).
 
 These rules guard the sharp edges of the simulation kernel's API:
-float timestamps/rates compared with ``==``, ``Simulator.run()`` invoked
-from inside an event callback (it is documented non-reentrant), and
-``schedule()`` handles dropped on the floor by classes that elsewhere
-rely on being able to ``cancel()`` their events.
+float timestamps/rates compared with ``==``, and ``schedule()`` handles
+dropped on the floor by classes that elsewhere rely on being able to
+``cancel()`` their events.  ``Simulator.run()`` from inside an event
+callback needs no rule: it raises ``SimulationError`` at run time
+(``tests/sim/test_engine.py``).
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.context import (FileContext, SCHEDULE_METHODS, dotted_name,
-                                last_attr)
+from repro.lint.context import FileContext, SCHEDULE_METHODS, last_attr
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
 
@@ -134,73 +134,6 @@ class FloatEqualityRule(Rule):
                     "float equality is brittle under refactoring; use "
                     "math.isclose()/an epsilon, or suppress with a "
                     "justification if the exact compare is intended")
-
-
-@register
-class RunInCallbackRule(Rule):
-    """SIM001: ``Simulator.run()`` from inside an event callback.
-
-    ``run()`` is documented non-reentrant and raises at runtime; this
-    catches the mistake statically, before a rarely-taken event path
-    trips it mid-experiment.
-    """
-
-    id = "SIM001"
-    severity = Severity.ERROR
-    summary = ("sim.run() called inside an event callback; run() is not "
-               "reentrant — use schedule()/stop() instead")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.schedules_events
-
-    @staticmethod
-    def _callback_names(tree: ast.Module) -> set[str]:
-        names: set[str] = set()
-
-        def add(arg: ast.AST) -> None:
-            if isinstance(arg, ast.Name):
-                names.add(arg.id)
-            elif isinstance(arg, ast.Attribute):
-                names.add(arg.attr)
-
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = last_attr(node)
-            if target in SCHEDULE_METHODS and len(node.args) >= 2:
-                add(node.args[1])
-            elif target == "PeriodicTimer":
-                if len(node.args) >= 3:
-                    add(node.args[2])
-                for kw in node.keywords:
-                    if kw.arg == "callback":
-                        add(kw.value)
-        return names
-
-    @staticmethod
-    def _is_sim_receiver(node: ast.AST) -> bool:
-        name = dotted_name(node)
-        return name is not None and (name == "sim" or name.endswith(".sim"))
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        callbacks = self._callback_names(ctx.tree)
-        if not callbacks:
-            return
-        for func in ast.walk(ctx.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if func.name not in callbacks:
-                continue
-            for node in ast.walk(func):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "run"
-                        and self._is_sim_receiver(node.func.value)):
-                    yield self.finding(
-                        ctx, node,
-                        f"{func.name}() is scheduled as an event callback "
-                        "but calls sim.run(), which is not reentrant; "
-                        "schedule follow-up work or call stop()")
 
 
 @register

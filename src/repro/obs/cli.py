@@ -1,18 +1,18 @@
-"""``repro obs`` — record, inspect, convert, and diff observability
+"""``repro obs`` — inspect, convert, validate, and diff observability
 artifacts.
+
+``repro run NAME --trace PATH --manifest PATH`` makes them: a JSONL
+trace and a run manifest with the run's HealthReport inside.  ``repro
+obs`` reads them.
 
 Subcommands::
 
-    repro obs record     run a perf workload with tracing on; write the
-                         JSONL trace and the run manifest
     repro obs summarize  per-kind / per-component event counts of a trace
     repro obs convert    JSONL trace -> Chrome trace_event JSON (Perfetto)
     repro obs validate   check a trace (and optionally a manifest) against
                          the schema invariants CI relies on
     repro obs diff       compare two run manifests (volatile environment
                          fields excluded unless --include-volatile)
-    repro obs health     run a registry scenario and print its
-                         HealthReport (exit 1 on any violated verdict)
 
 See docs/OBSERVABILITY.md for the formats.
 """
@@ -20,38 +20,17 @@ See docs/OBSERVABILITY.md for the formats.
 from __future__ import annotations
 
 import argparse
-import json
-import time
 
 from repro.obs.chrome import write_chrome_trace
-from repro.obs.manifest import (build_manifest, diff_manifests,
-                                read_manifest, validate_manifest,
-                                write_manifest)
-from repro.obs.metrics import registry_from_run
-from repro.obs.trace import (Tracer, read_trace_jsonl, summarize_events,
-                             validate_trace_jsonl, write_trace_jsonl)
-from repro.perf.workloads import MIN_SCALE, WORKLOADS
+from repro.obs.manifest import (diff_manifests, read_manifest,
+                                validate_manifest)
+from repro.obs.trace import (read_trace_jsonl, summarize_events,
+                             validate_trace_jsonl)
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Install the ``repro obs`` subcommands on ``parser``."""
     sub = parser.add_subparsers(dest="obs_command", required=True)
-
-    record = sub.add_parser(
-        "record", help="run a perf workload with tracing enabled")
-    record.add_argument("--workload", choices=sorted(WORKLOADS),
-                        default="e01_staggered")
-    record.add_argument("--scale", type=float, default=MIN_SCALE,
-                        help="multiplier on the workload's simulated "
-                             f"horizon (>= {MIN_SCALE})")
-    record.add_argument("--categories", default=None,
-                        help="comma-separated trace categories "
-                             "(default: all)")
-    record.add_argument("--trace", default="obs_trace.jsonl",
-                        help="JSONL trace output path")
-    record.add_argument("--manifest", default="obs_manifest.json",
-                        help="run manifest output path; '' to skip")
-    record.set_defaults(obs_fn=_cmd_record)
 
     summarize = sub.add_parser(
         "summarize", help="per-kind/per-component counts of a trace")
@@ -81,63 +60,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                            "wall time")
     diff.set_defaults(obs_fn=_cmd_diff)
 
-    health = sub.add_parser(
-        "health", help="run a scenario and print its HealthReport")
-    health.add_argument("--scenario", default="atm.staggered",
-                        help="registry scenario name (repro.exec)")
-    health.add_argument("--set", action="append", default=[],
-                        metavar="KEY=VALUE", dest="overrides",
-                        help="scenario parameter (dotted keys reach "
-                             "nested dicts; values parsed as JSON, "
-                             "falling back to strings)")
-    health.add_argument("--seed", type=int, default=None,
-                        help="seed for stochastic scenarios")
-    health.add_argument("--eps", type=float, default=None,
-                        help="ε-band half-width vs the oracle "
-                             "(default 0.05)")
-    health.add_argument("--queue-bound", type=float, default=None,
-                        help="override the derived per-port queue bound "
-                             "(cells / packets)")
-    health.add_argument("--output", default=None,
-                        help="also write the report as JSON")
-    health.set_defaults(obs_fn=_cmd_health)
-
 
 def run(args: argparse.Namespace) -> int:
     return args.obs_fn(args)
-
-
-# ----------------------------------------------------------------------
-def _cmd_record(args: argparse.Namespace) -> int:
-    categories = (None if args.categories is None
-                  else [c.strip() for c in args.categories.split(",")
-                        if c.strip()])
-    tracer = Tracer(categories=categories)
-    workload = WORKLOADS[args.workload]
-    # wall-clock read is the measurement itself (CLI layer, not
-    # simulation code); the simulated outcome stays deterministic
-    start = time.perf_counter()  # lint: disable=DET002
-    run_handle = workload.build_and_run(args.scale, tracer=tracer)
-    wall_s = time.perf_counter() - start  # lint: disable=DET002
-
-    write_trace_jsonl(args.trace, tracer,
-                      meta={"workload": args.workload,
-                            "scale": args.scale})
-    print(f"wrote {args.trace} ({len(tracer.events)} events)")
-    if args.manifest:
-        registry = registry_from_run(run_handle)
-        manifest = build_manifest(
-            command="obs record",
-            params={"workload": args.workload, "scale": args.scale,
-                    "categories": categories},
-            seed=getattr(getattr(run_handle.net, "rng", None), "seed",
-                         None),
-            metrics=registry.summary(),
-            wall_s=wall_s,
-            trace_path=args.trace)
-        write_manifest(args.manifest, manifest)
-        print(f"wrote {args.manifest}")
-    return 0
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
@@ -186,77 +111,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                             else "")
     print(f"{checked}: ok")
     return 0
-
-
-def _parse_overrides(items: list[str]) -> dict:
-    """``KEY=VALUE`` pairs into a (nested) params dict.
-
-    Dotted keys descend (``algorithm_params.utilization_factor=2``);
-    values are parsed as JSON so numbers, booleans, and lists work, with
-    a fallback to the raw string (``algorithm=erica``).
-    """
-    params: dict = {}
-    for item in items:
-        key, eq, raw = item.partition("=")
-        if not eq or not key:
-            raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
-        try:
-            value = json.loads(raw)
-        except ValueError:
-            value = raw
-        node = params
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise SystemExit(
-                    f"--set key {key!r} descends into a non-dict value")
-        node[parts[-1]] = value
-    return params
-
-
-def _cmd_health(args: argparse.Namespace) -> int:
-    from repro.exec.registry import get_scenario
-    from repro.obs.health import DEFAULT_EPS, build_health
-
-    entry = get_scenario(args.scenario)
-    params = _parse_overrides(args.overrides)
-    kwargs = dict(params)
-    if entry.takes_seed and args.seed is not None:
-        kwargs["seed"] = args.seed
-    run_handle = entry.fn(**kwargs)
-    report = build_health(run_handle, scenario=args.scenario,
-                          params=params,
-                          eps=(DEFAULT_EPS if args.eps is None
-                               else args.eps),
-                          queue_bound=args.queue_bound)
-    print(f"scenario : {args.scenario}")
-    print(f"eps      : {report['eps']}")
-    print(f"verdict  : {report['verdict']}")
-    oracle = report.get("oracle")
-    if oracle:
-        shares = " ".join(f"{name}={rate:.2f}"
-                          for name, rate in oracle.items())
-        print(f"oracle   : {shares} Mb/s")
-    print("checks   :")
-    for entry_check in report["checks"]:
-        line = f"  {entry_check['name']:<20} {entry_check['verdict']}"
-        ts = entry_check["first_violation_ts"]
-        if ts is not None:
-            line += f"  (first violation at t={ts:.6f}s)"
-        reason = entry_check["evidence"].get("reason")
-        if reason:
-            line += f"  ({reason})"
-        print(line)
-        if entry_check["verdict"] == "violated":
-            for key, value in entry_check["evidence"].items():
-                print(f"      {key}: {value}")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}")
-    return 1 if report["verdict"] == "violated" else 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:

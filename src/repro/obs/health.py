@@ -30,7 +30,7 @@ and fuzzed configs (:mod:`repro.fuzz`) are solved by the same
 The report rides inside run manifests (``repro.obs.manifest``), is
 reduced per task by the exec worker and aggregated by ``repro suite
 --health`` (:func:`merge_health`), and is exported as Prometheus
-metrics by ``repro.serve``.  ``repro obs health`` builds one on demand.
+metrics by ``repro.serve``.  ``repro run NAME`` prints one on demand.
 
 Everything here is *read-only over finished state*: building a report
 schedules nothing, mutates nothing, and never raises — an internal

@@ -1,7 +1,7 @@
 """Run manifests: the machine-readable record of what produced a result.
 
-Every ``repro atm``/``repro tcp``/``repro perf`` invocation writes one of
-these next to its output, so a committed benchmark table or BENCH entry
+Every ``repro run``/``repro perf``/``repro suite`` invocation writes one
+of these next to its output, so a committed benchmark table or BENCH entry
 can be traced back to the exact configuration — command, scenario
 parameters, seed, git revision, interpreter/platform — and to a metric
 summary of the run itself.  ``repro obs diff`` compares two manifests;
@@ -56,8 +56,9 @@ def build_manifest(command: str, params: dict[str, Any], *,
                    ) -> dict[str, Any]:
     """Assemble a manifest dict for one CLI invocation.
 
-    ``params`` is the scenario configuration (flag values, scales);
-    ``metrics`` is typically ``MetricsRegistry.summary()``; ``wall_s``
+    ``params`` is the scenario configuration (registry name and
+    keywords, scales); ``metrics`` is a flat name -> number map (the
+    exec worker's reduced metrics for ``repro run``); ``wall_s``
     is the caller-measured wall time of the run.  Multi-task commands
     (``repro suite``/``repro sweep``) pass ``tasks`` — per-task
     provenance rows (id, scenario, fingerprint, status), which are

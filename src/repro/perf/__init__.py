@@ -15,12 +15,9 @@ Three pieces, one contract:
 from repro.perf.golden import (canonical_series, capture, compare_traces,
                                probe_digest, read_trace, trace_from_run,
                                write_trace)
-from repro.perf.runner import (DEFAULT_HISTORY, DEFAULT_OUTPUT,
-                               DEFAULT_REGRESSION_FACTOR,
-                               HISTORY_WARN_FACTOR, append_history,
+from repro.perf.runner import (DEFAULT_OUTPUT, DEFAULT_REGRESSION_FACTOR,
                                check_regression, environment_mismatches,
-                               history_drift, history_entry, measure,
-                               merge_report, read_history, read_report,
+                               measure, merge_report, read_report,
                                run_suite, write_report)
 from repro.perf.workloads import MIN_SCALE, WORKLOADS, Workload
 
@@ -28,22 +25,16 @@ __all__ = [
     "MIN_SCALE",
     "WORKLOADS",
     "Workload",
-    "DEFAULT_HISTORY",
     "DEFAULT_OUTPUT",
     "DEFAULT_REGRESSION_FACTOR",
-    "HISTORY_WARN_FACTOR",
-    "append_history",
     "canonical_series",
     "capture",
     "check_regression",
     "compare_traces",
     "environment_mismatches",
-    "history_drift",
-    "history_entry",
     "measure",
     "merge_report",
     "probe_digest",
-    "read_history",
     "read_report",
     "read_trace",
     "run_suite",

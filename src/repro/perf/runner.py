@@ -27,12 +27,6 @@ from repro.perf.workloads import WORKLOADS
 DEFAULT_OUTPUT = "BENCH_perf.json"
 #: CI fails when wall_per_sim_sec exceeds baseline by this factor.
 DEFAULT_REGRESSION_FACTOR = 2.0
-#: Default append-only measurement log (``repro perf --record``).
-DEFAULT_HISTORY = "BENCH_history.jsonl"
-#: ``--record`` warns (without failing) past a 20% wall/sim-sec drift
-#: against the committed baseline — tighter than the CI gate, so slow
-#: creep surfaces in the log before it trips the 2x hard limit.
-HISTORY_WARN_FACTOR = 1.2
 
 
 def measure(name: str, scale: float = 1.0, repeats: int = 1) -> dict[str, Any]:
@@ -135,58 +129,6 @@ def check_regression(current: dict[str, Any], baseline: dict[str, Any],
                 f"{name}: wall/sim-sec {got:.3f} exceeds {factor:g}x "
                 f"baseline ({base['wall_per_sim_sec']:.3f})")
     return problems
-
-
-def history_entry(report: dict[str, Any]) -> dict[str, Any]:
-    """One append-only log row: environment stamp + normalised costs.
-
-    Keeps only the fields a trend plot needs (``wall_per_sim_sec`` is
-    the machine-normalised series; ``wall_s``/``events_per_sec`` give
-    it scale), not the whole report, so the log stays greppable.
-    """
-    return {
-        # the timestamp is provenance for whoever reads the log — it is
-        # never replayed, so the wall-clock read is as legitimate here
-        # as the measurement itself
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": report.get("python"),
-        "machine": report.get("machine"),
-        "cpus": os.cpu_count(),
-        "workloads": {
-            name: {"scale": entry.get("scale"),
-                   "wall_s": entry.get("wall_s"),
-                   "wall_per_sim_sec": entry.get("wall_per_sim_sec"),
-                   "events_per_sec": entry.get("events_per_sec")}
-            for name, entry in sorted(
-                report.get("workloads", {}).items())},
-    }
-
-
-def append_history(path: str, report: dict[str, Any]) -> dict[str, Any]:
-    """Append the report's :func:`history_entry` to the JSONL log."""
-    entry = history_entry(report)
-    with open(path, "a", encoding="utf-8") as fh:
-        json.dump(entry, fh, sort_keys=True)
-        fh.write("\n")
-    return entry
-
-
-def read_history(path: str) -> list[dict[str, Any]]:
-    """All recorded rows, oldest first (blank lines skipped)."""
-    rows: list[dict[str, Any]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
-
-
-def history_drift(current: dict[str, Any], baseline: dict[str, Any],
-                  factor: float = HISTORY_WARN_FACTOR) -> list[str]:
-    """Soft drift warnings for ``--record``: :func:`check_regression`
-    at the tighter history threshold."""
-    return check_regression(current, baseline, factor=factor)
 
 
 def merge_report(path: str, section: str, rows: dict[str, Any],

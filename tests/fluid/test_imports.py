@@ -5,10 +5,14 @@ imports the event kernel or a packet stack.  ``repro.atm.params``
 two tiers and ``cli``/``validate`` drive packet runs for comparison,
 so they are exempt.
 
-This pins direct imports only.  Importing ``repro.atm.params`` runs
-``repro/atm/__init__.py``, which loads the packet stack at run time."""
+``repro.sim`` and ``repro.atm`` resolve their exports lazily, so the
+boundary holds at run time too: importing ``repro.fluid`` loads their
+package inits and the allowed submodules, nothing else."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repro.fluid
@@ -58,3 +62,17 @@ def test_the_ban_covers_kernel_and_packet_modules_but_not_params():
     assert not _banned("repro.sim.units")
     assert not _banned("repro.sim.probe")
     assert not _banned("repro.core.macr")
+
+
+def test_importing_the_fluid_tier_loads_no_packet_module():
+    src = Path(repro.fluid.__file__).parents[2]
+    check = ("import sys, repro.fluid\n"
+             "print(sorted(m for m in sys.modules if m.startswith(\n"
+             "    ('repro.sim', 'repro.atm', 'repro.tcp'))))\n")
+    done = subprocess.run([sys.executable, "-c", check],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(sorted([
+        "repro.atm", "repro.atm.params", "repro.sim", "repro.sim.probe",
+        "repro.sim.rng", "repro.sim.units"]))

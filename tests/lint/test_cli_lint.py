@@ -1,5 +1,6 @@
 """The lint CLI surface: `repro lint`, --changed, dead-pragma reports."""
 
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -46,13 +47,33 @@ def test_report_unused_pragmas_flags_a_dead_pragma(tmp_path, capsys,
     assert "LNT001" in out and "det001" in out
 
 
-def test_changed_against_head_is_clean(capsys):
-    # the worktree may legitimately differ from HEAD mid-development;
-    # the gate here is only that the scoped run works end to end
-    code = main(["lint", "--changed", "HEAD", SRC])
-    assert code in (0, 1)
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=lint-test",
+                    "-c", "user.email=lint-test@example.invalid",
+                    "-c", "commit.gpgsign=false", *args],
+                   cwd=cwd, check=True, capture_output=True)
+
+
+def test_changed_against_head_is_clean(tmp_path, capsys, monkeypatch):
+    """What HEAD holds counts as clean: ``--changed HEAD`` lints only
+    the files the worktree changed, so a violation committed in ``b.py``
+    is not reported and one added to ``a.py`` is.  The test builds its
+    own repository, so it runs outside a git checkout too."""
+    monkeypatch.chdir(tmp_path)
+    pkg = tmp_path / "repro" / "sim"
+    pkg.mkdir(parents=True)
+    clean = "def draw(rng):\n    return rng.random()\n"
+    (pkg / "a.py").write_text(clean)
+    (pkg / "b.py").write_text("import random\nx = random.random()\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", ".")
+    _git(tmp_path, "commit", "-q", "-m", "seed")
+    (pkg / "a.py").write_text(clean + "import random\ny = random.random()\n")
+
+    assert main(["lint", "--changed", "HEAD", "repro"]) == 1
     out = capsys.readouterr().out
-    assert "clean" in out or "finding" in out
+    assert "a.py:4" in out
+    assert "b.py" not in out
 
 
 def test_changed_keeps_the_walk_exclusions(capsys):

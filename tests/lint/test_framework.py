@@ -9,7 +9,7 @@ from repro.lint.pragmas import Suppressions
 from tests.lint.helpers import fixture_path, lint_snippet
 
 RULE_IDS = {"DET001", "DET002", "DET003", "DET004",
-            "UNT001", "UNT002", "FLT001", "SIM001", "SIM002",
+            "UNT001", "UNT002", "FLT001", "SIM002",
             "PRF001", "OBS001", "OBS002", "SRV001"}
 
 VIOLATION = "import random\nx = random.uniform(0.0, 1.0)\n"

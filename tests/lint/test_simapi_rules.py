@@ -1,4 +1,4 @@
-"""FLT001/SIM001/SIM002: sim-API rules."""
+"""FLT001/SIM002: sim-API rules."""
 
 from tests.lint.helpers import assert_rule_matches_fixture, lint_snippet
 
@@ -18,28 +18,6 @@ def test_flt001_is_comparison_with_sentinel_is_fine():
               "def f(a: float) -> bool:\n"
               "    return a is _NONE\n")
     assert [f for f in lint_snippet(source) if f.rule_id == "FLT001"] == []
-
-
-def test_sim001_run_in_callback_flagged_and_suppressible():
-    assert_rule_matches_fixture("SIM001", "sim001_reentrant_run.py")
-
-
-def test_sim001_run_outside_callbacks_is_fine():
-    source = ("def main(sim):\n"
-              "    sim.schedule(1.0, print)\n"
-              "    sim.run(until=5.0)\n")
-    assert [f for f in lint_snippet(source) if f.rule_id == "SIM001"] == []
-
-
-def test_sim001_periodic_timer_callbacks_are_tracked():
-    source = ("class C:\n"
-              "    def go(self):\n"
-              "        PeriodicTimer(self.sim, 0.1, self._tick)\n"
-              "        self.sim.schedule(1.0, print)\n"
-              "    def _tick(self, timer):\n"
-              "        self.sim.run(until=2.0)\n")
-    findings = [f for f in lint_snippet(source) if f.rule_id == "SIM001"]
-    assert [f.line for f in findings] == [6]
 
 
 def test_sim002_discarded_schedule_flagged_and_suppressible():

@@ -1,5 +1,5 @@
-"""`repro obs health` exit codes and `repro obs diff` across every
-manifest-producing command (atm / tcp / perf / fluid / suite)."""
+"""`repro run` health exit codes and `repro obs diff` across every
+manifest-producing command (run on each tier / perf / suite)."""
 
 import json
 
@@ -8,7 +8,7 @@ import pytest
 from repro.cli import main
 from repro.obs import (HEALTH_SCHEMA, SUITE_HEALTH_SCHEMA,
                        validate_manifest)
-from repro.obs.cli import _parse_overrides
+from repro.exec.cli import parse_settings
 
 
 @pytest.fixture(scope="module")
@@ -19,17 +19,15 @@ def manifests(tmp_path_factory):
              for name in ("atm_a", "atm_b", "tcp", "perf", "fluid",
                           "suite")}
     for label in ("atm_a", "atm_b"):
-        assert main(["atm", "--scenario", "staggered",
-                     "--duration", "0.15",
+        assert main(["run", "atm.staggered", "--set", "duration=0.15",
                      "--manifest", paths[label]]) == 0
-    assert main(["tcp", "--scenario", "many", "--policy", "drop-tail",
-                 "--duration", "3", "--manifest", paths["tcp"]]) == 0
+    assert main(["run", "tcp.many", "--set", "policy=drop-tail",
+                 "--set", "duration=3", "--manifest", paths["tcp"]]) == 0
     bench = root / "bench.json"
     assert main(["perf", "--workload", "e11_tcp", "--scale", "0.15",
                  "--output", str(bench)]) == 0
     paths["perf"] = str(root / "bench.manifest.json")
-    assert main(["fluid", "run", "--scenario", "staggered",
-                 "--duration", "0.15",
+    assert main(["run", "fluid.staggered", "--set", "duration=0.15",
                  "--manifest", paths["fluid"]]) == 0
     assert main(["suite", "--scale", "0.05", "--experiments", "E01",
                  "-j", "1", "--no-cache", "--health",
@@ -73,7 +71,9 @@ def test_same_config_diffs_clean(manifests, capsys):
 def test_cross_kind_diffs_are_reported(manifests, capsys, a, b):
     assert main(["obs", "diff", manifests[a][0], manifests[b][0]]) == 1
     out = capsys.readouterr().out
-    assert "command:" in out
+    # `repro run` manifests share their command and name the scenario
+    same_command = manifests[a][1]["command"] == manifests[b][1]["command"]
+    assert ("params.scenario:" if same_command else "command:") in out
 
 
 def test_health_regression_shows_up_in_diff(manifests, tmp_path, capsys):
@@ -89,50 +89,56 @@ def test_health_regression_shows_up_in_diff(manifests, tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# repro obs health: exit codes and overrides
+# repro run: health exit codes and --set parsing
 # ----------------------------------------------------------------------
 
 def test_obs_health_pass_exits_zero(tmp_path, capsys):
-    out_path = tmp_path / "health.json"
-    assert main(["obs", "health", "--scenario", "atm.staggered",
-                 "--set", "duration=0.15",
-                 "--output", str(out_path)]) == 0
+    out_path = tmp_path / "run.manifest.json"
+    assert main(["run", "atm.staggered", "--set", "duration=0.15",
+                 "--manifest", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "verdict  : pass" in out
     assert "oracle   : s0=68.18 s1=68.18 Mb/s" in out
-    report = json.loads(out_path.read_text())
+    report = json.loads(out_path.read_text())["health"]
     assert report["schema"] == HEALTH_SCHEMA
+    assert report["scenario"] == "atm.staggered"
     assert report["verdict"] == "pass"
 
 
-def test_obs_health_violation_exits_one(capsys):
-    # an absurd half-cell queue bound forces a queue_bound violation
-    assert main(["obs", "health", "--scenario", "atm.staggered",
-                 "--set", "duration=0.1",
-                 "--queue-bound", "0.5"]) == 1
+def test_obs_health_violation_exits_one(tmp_path, capsys):
+    # ROADMAP item 1's ring: the E03 builder with three *equal* 0.5 ms
+    # access delays settles every session ~29% under the oracle
+    out_path = tmp_path / "run.manifest.json"
+    assert main(["run", "atm.rtt",
+                 "--set", "access_delays=[5e-4, 5e-4, 5e-4]",
+                 "--manifest", str(out_path)]) == 1
     out = capsys.readouterr().out
     assert "verdict  : violated" in out
-    assert "first violation at t=" in out
+    checks = {c["name"]: c["verdict"] for c
+              in json.loads(out_path.read_text())["health"]["checks"]}
+    assert checks["convergence"] == "violated"
+    assert checks["fairness_gap"] == "violated"
+    assert checks["conservation"] == "pass"
 
 
 def test_obs_health_gated_scenario_still_passes(capsys):
     # on/off has no oracle, but conservation and queues are judged
-    assert main(["obs", "health", "--scenario", "atm.onoff",
-                 "--set", "duration=0.1"]) == 0
+    assert main(["run", "atm.onoff", "--set", "duration=0.1",
+                 "--manifest", ""]) == 0
     out = capsys.readouterr().out
     assert "verdict  : pass" in out
     assert "no steady greedy" in out
 
 
 def test_parse_overrides_nesting_and_json_values():
-    params = _parse_overrides(["duration=0.2",
-                               "algorithm=erica",
-                               "algorithm_params.utilization_factor=2",
-                               "algorithm_params.use_deviation=true"])
+    params = parse_settings(["duration=0.2",
+                             "algorithm=erica",
+                             "algorithm_params.utilization_factor=2",
+                             "algorithm_params.use_deviation=true"])
     assert params == {"duration": 0.2, "algorithm": "erica",
                       "algorithm_params": {"utilization_factor": 2,
                                            "use_deviation": True}}
     with pytest.raises(SystemExit):
-        _parse_overrides(["not-a-pair"])
+        parse_settings(["not-a-pair"])
     with pytest.raises(SystemExit):
-        _parse_overrides(["duration.sub=1", "duration=2"][::-1])
+        parse_settings(["duration.sub=1", "duration=2"][::-1])

@@ -162,3 +162,17 @@ def test_executed_events_counts_fired_only():
     sim.schedule(3.0, lambda: None)
     sim.run()
     assert sim.executed_events == 2
+
+
+def test_run_from_a_callback_raises_and_a_later_run_proceeds():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, sim.run)
+    sim.schedule(2.0, fired.append, "after")
+    with pytest.raises(SimulationError, match="not reentrant"):
+        sim.run()
+    assert fired == []
+    # the guard is reset on the way out, so the next run proceeds
+    sim.run()
+    assert fired == ["after"]
+    assert sim.now == 2.0

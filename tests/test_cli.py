@@ -9,8 +9,8 @@ from repro.cli import main
 
 @pytest.fixture(autouse=True)
 def _run_in_tmpdir(tmp_path, monkeypatch):
-    """atm/tcp/perf write run manifests into the cwd by default; keep
-    test artifacts out of the repo checkout."""
+    """run/perf write run manifests into the cwd by default; keep test
+    artifacts out of the repo checkout."""
     monkeypatch.chdir(tmp_path)
 
 
@@ -24,12 +24,12 @@ def test_list(capsys):
 
 def test_list_includes_exec_scenario_registry(capsys):
     """`repro list` is the one discoverable source of the registry names
-    used by `repro suite/sweep` and the serve API's POST /jobs."""
+    used by `repro run/suite/sweep` and the serve API's POST /jobs."""
     from repro.exec.registry import all_scenarios
 
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "exec scenarios:" in out
+    assert "scenarios :" in out
     for name in all_scenarios():
         assert name in out
 
@@ -49,74 +49,73 @@ def test_serve_subcommand_is_wired():
 
 
 def test_atm_staggered_phantom(capsys):
-    assert main(["atm", "--scenario", "staggered",
-                 "--algorithm", "phantom", "--duration", "0.15"]) == 0
+    assert main(["run", "atm.staggered", "--set", "algorithm=phantom",
+                 "--set", "duration=0.15"]) == 0
     out = capsys.readouterr().out
-    assert "Jain index" in out
-    assert "MACR" in out
-    assert "utilisation" in out
+    assert "jain" in out
+    assert "utilization" in out
+    assert "verdict  : pass" in out
 
 
 def test_atm_sessions_flag(capsys):
-    assert main(["atm", "--scenario", "staggered", "--sessions", "3",
-                 "--duration", "0.15"]) == 0
+    assert main(["run", "atm.staggered", "--set", "n_sessions=3",
+                 "--set", "duration=0.15"]) == 0
     out = capsys.readouterr().out
-    assert "s2" in out
+    assert "rates.s2" in out
 
 
 def test_atm_baseline_algorithm(capsys):
-    assert main(["atm", "--scenario", "staggered",
-                 "--algorithm", "capc", "--duration", "0.15"]) == 0
-    assert "Jain" in capsys.readouterr().out
+    assert main(["run", "atm.staggered", "--set", "algorithm=capc",
+                 "--set", "duration=0.15"]) == 0
+    assert "jain" in capsys.readouterr().out
 
 
 def test_tcp_selective_discard(capsys):
-    assert main(["tcp", "--scenario", "many",
-                 "--policy", "selective-discard",
-                 "--duration", "5"]) == 0
+    assert main(["run", "tcp.many", "--set", "policy=selective-discard",
+                 "--set", "duration=5"]) == 0
     out = capsys.readouterr().out
-    assert "goodput" in out
-    assert "bottleneck q" in out
+    assert "goodput.f0" in out
+    assert "total_goodput" in out
 
 
 def test_atm_writes_manifest_by_default(capsys, tmp_path):
-    assert main(["atm", "--scenario", "staggered",
-                 "--duration", "0.15"]) == 0
-    assert "wrote repro_atm.manifest.json" in capsys.readouterr().out
+    assert main(["run", "atm.staggered", "--set", "duration=0.15"]) == 0
+    assert "wrote repro_run.manifest.json" in capsys.readouterr().out
     manifest = json.loads(
-        (tmp_path / "repro_atm.manifest.json").read_text())
+        (tmp_path / "repro_run.manifest.json").read_text())
     assert manifest["schema"] == "repro.obs.manifest"
-    assert manifest["command"] == "atm"
-    assert manifest["params"]["scenario"] == "staggered"
+    assert manifest["command"] == "run"
+    assert manifest["params"] == {"scenario": "atm.staggered",
+                                  "duration": 0.15}
     assert manifest["metrics"]
 
 
 def test_atm_manifest_opt_out(capsys, tmp_path):
-    assert main(["atm", "--scenario", "staggered",
-                 "--duration", "0.15", "--manifest", ""]) == 0
+    assert main(["run", "atm.staggered", "--set", "duration=0.15",
+                 "--manifest", ""]) == 0
     capsys.readouterr()
-    assert not (tmp_path / "repro_atm.manifest.json").exists()
+    assert not (tmp_path / "repro_run.manifest.json").exists()
 
 
 def test_atm_trace_flag_records_jsonl(capsys, tmp_path):
-    assert main(["atm", "--scenario", "staggered", "--duration", "0.15",
+    assert main(["run", "atm.staggered", "--set", "duration=0.15",
                  "--trace", "t.jsonl"]) == 0
     assert "wrote t.jsonl" in capsys.readouterr().out
     from repro.obs import validate_trace_jsonl
 
     assert validate_trace_jsonl(str(tmp_path / "t.jsonl")) == []
     manifest = json.loads(
-        (tmp_path / "repro_atm.manifest.json").read_text())
+        (tmp_path / "repro_run.manifest.json").read_text())
     assert manifest["trace"] == "t.jsonl"
 
 
 def test_tcp_writes_manifest_by_default(capsys, tmp_path):
-    assert main(["tcp", "--scenario", "many", "--policy", "drop-tail",
-                 "--duration", "3"]) == 0
+    assert main(["run", "tcp.many", "--set", "policy=drop-tail",
+                 "--set", "duration=3"]) == 0
     capsys.readouterr()
     manifest = json.loads(
-        (tmp_path / "repro_tcp.manifest.json").read_text())
-    assert manifest["command"] == "tcp"
+        (tmp_path / "repro_run.manifest.json").read_text())
+    assert manifest["command"] == "run"
     assert manifest["params"]["policy"] == "drop-tail"
 
 
@@ -131,10 +130,10 @@ def test_perf_writes_companion_manifest(capsys, tmp_path):
 
 
 def test_obs_record_and_diff_roundtrip(capsys, tmp_path):
-    assert main(["obs", "record", "--workload", "e11_tcp",
-                 "--trace", "a.jsonl", "--manifest", "a.json"]) == 0
-    assert main(["obs", "record", "--workload", "e11_tcp",
-                 "--trace", "b.jsonl", "--manifest", "b.json"]) == 0
+    for label in "ab":
+        assert main(["run", "tcp.many", "--set", "duration=3",
+                     "--trace", f"{label}.jsonl",
+                     "--manifest", f"{label}.json"]) == 0
     capsys.readouterr()
     assert main(["obs", "validate", "a.jsonl", "--manifest", "a.json"]) == 0
     # identical params and a closed workload: nothing to report

@@ -20,7 +20,8 @@ from repro.exec.fingerprint import SCAN_STORE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-LAZY_PACKAGES = ("repro", "repro.core", "repro.obs", "repro.exec")
+LAZY_PACKAGES = ("repro", "repro.core", "repro.obs", "repro.exec",
+                 "repro.sim", "repro.atm")
 
 #: What a warm replay must never load.
 NOT_ON_REPLAY = tuple(f"repro.{name}" for name in (
@@ -139,8 +140,9 @@ def test_every_export_resolves_in_a_fresh_interpreter(tmp_path):
 
 def test_importing_a_package_loads_none_of_its_exports(tmp_path):
     check = (
-        "import sys\n"
-        "import repro.core, repro.exec, repro.obs\n"
+        "import importlib, sys\n"
+        f"for package in {LAZY_PACKAGES!r}:\n"
+        "    importlib.import_module(package)\n"
         "print(sorted(m for m in sys.modules if m.startswith('repro')))\n")
     done = _fresh("-c", check, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
@@ -159,17 +161,15 @@ def test_unknown_names_still_raise_attribute_error():
 # ----------------------------------------------------------------------
 ARGVS = {
     "list": ["list"],
-    "atm": ["atm", "--scenario", "onoff", "--algorithm", "capc",
-            "--duration", "0.1", "--seed", "3", "--manifest", ""],
-    "tcp": ["tcp", "--scenario", "vegas", "--policy", "drop-tail",
-            "--duration", "2"],
+    "run": ["run", "atm.onoff", "--set", "algorithm=capc",
+            "--set", "seed=3", "--trace", "t.jsonl", "--manifest", ""],
     "maxmin": ["maxmin", "--link", "l1=150", "--session", "a=l1",
                "--factor", "5"],
     "lint": ["lint", "src", "--format", "json", "--select", "DET001"],
     "perf": ["perf", "--workload", "e01_staggered", "--scale", "0.1",
              "--output", ""],
     "obs": ["obs", "summarize", "trace.jsonl"],
-    "fluid": ["fluid", "run", "--scenario", "parking", "--sessions", "3"],
+    "fluid": ["fluid", "many", "--cohorts", "10", "--greedy", "3"],
     "suite": ["suite", "--scale", "0.05", "--assert-cached", "--health",
               "-j", "2"],
     "sweep": ["sweep", "--scenario", "atm.staggered",
