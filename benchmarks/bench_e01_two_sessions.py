@@ -14,15 +14,16 @@ import pytest
 
 from repro import PhantomAlgorithm, phantom_equilibrium_rate
 from repro.analysis import convergence_time, print_series
-from repro.scenarios import staggered_start
+from repro.scenarios import build_atm, staggered_config
 
 DURATION = 0.25
 STAGGER = 0.03
 
 
 def test_e01_two_sessions(run_once, benchmark):
-    run = run_once(lambda: staggered_start(
-        PhantomAlgorithm, n_sessions=2, stagger=STAGGER, duration=DURATION))
+    run = run_once(lambda: build_atm(
+        staggered_config(n_sessions=2, stagger=STAGGER, duration=DURATION),
+        algorithm_factory=PhantomAlgorithm))
 
     a = run.net.sessions["s0"]
     b = run.net.sessions["s1"]

@@ -9,15 +9,16 @@ value of the queue length in Phantom stems from the faster reaction").
 
 from repro import PhantomAlgorithm, phantom_equilibrium_rate
 from repro.analysis import print_series
-from repro.scenarios import on_off
+from repro.scenarios import build_atm, onoff_config
 
 DURATION = 0.4
 
 
 def test_e02_onoff(run_once, benchmark):
-    run = run_once(lambda: on_off(
-        PhantomAlgorithm, greedy=1, bursty=2, on_time=0.02, off_time=0.02,
-        duration=DURATION, seed=7))
+    run = run_once(lambda: build_atm(
+        onoff_config(greedy=1, bursty=2, on_time=0.02, off_time=0.02,
+                     duration=DURATION),
+        algorithm_factory=PhantomAlgorithm, seed=7))
 
     greedy = run.net.sessions["greedy0"]
     print()

@@ -10,15 +10,16 @@ import pytest
 
 from repro import PhantomAlgorithm, phantom_equilibrium_rate
 from repro.analysis import jain_index, print_series
-from repro.scenarios import rtt_spread
+from repro.scenarios import build_atm, rtt_config
 
 DELAYS = (1e-5, 5e-4, 2e-3)  # 0.01 ms .. 2 ms access propagation
 DURATION = 0.3
 
 
 def test_e03_rtt_fairness(run_once, benchmark):
-    run = run_once(lambda: rtt_spread(
-        PhantomAlgorithm, access_delays=DELAYS, duration=DURATION))
+    run = run_once(lambda: build_atm(
+        rtt_config(access_delays=DELAYS, duration=DURATION),
+        algorithm_factory=PhantomAlgorithm))
 
     print()
     print_series(

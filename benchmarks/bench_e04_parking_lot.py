@@ -10,15 +10,16 @@ import pytest
 
 from repro import PhantomAlgorithm, phantom_allocation
 from repro.analysis import allocation_error, format_table
-from repro.scenarios import parking_lot
+from repro.scenarios import build_atm, parking_config
 
 HOPS = 3
 DURATION = 0.3
 
 
 def test_e04_parking_lot(run_once, benchmark):
-    run = run_once(lambda: parking_lot(
-        PhantomAlgorithm, hops=HOPS, duration=DURATION))
+    run = run_once(lambda: build_atm(
+        parking_config(hops=HOPS, duration=DURATION),
+        algorithm_factory=PhantomAlgorithm))
 
     measured = run.steady_rates()
     capacities = {f"t{i}": 150.0 for i in range(HOPS)}

@@ -8,15 +8,16 @@ f·C/(f+1) after the departure.
 
 from repro import PhantomAlgorithm, phantom_equilibrium_rate
 from repro.analysis import convergence_time, print_series
-from repro.scenarios import transient
+from repro.scenarios import build_atm, transient_config
 
 DURATION = 0.4
 JOIN, LEAVE = 0.1, 0.25
 
 
 def test_e08_transient(run_once, benchmark):
-    run = run_once(lambda: transient(
-        PhantomAlgorithm, duration=DURATION, join_at=JOIN, leave_at=LEAVE))
+    run = run_once(lambda: build_atm(
+        transient_config(duration=DURATION, join_at=JOIN, leave_at=LEAVE),
+        algorithm_factory=PhantomAlgorithm))
 
     base = run.net.sessions["base"]
     print()

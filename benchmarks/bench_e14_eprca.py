@@ -9,17 +9,16 @@ holds a near-empty queue in steady state.
 
 from repro import EprcaAlgorithm, PhantomAlgorithm
 from repro.analysis import print_series
-from repro.scenarios import staggered_start
+from repro.scenarios import build_atm, staggered_config
 
 DURATION = 0.4
 
 
 def test_e14_eprca(run_once, benchmark):
+    config = staggered_config(n_sessions=2, duration=DURATION)
     runs = run_once(lambda: {
-        "eprca": staggered_start(EprcaAlgorithm, n_sessions=2,
-                                 duration=DURATION),
-        "phantom": staggered_start(PhantomAlgorithm, n_sessions=2,
-                                   duration=DURATION),
+        "eprca": build_atm(config, algorithm_factory=EprcaAlgorithm),
+        "phantom": build_atm(config, algorithm_factory=PhantomAlgorithm),
     })
 
     eprca = runs["eprca"]

@@ -11,7 +11,7 @@ the derivative test can bite.
 from repro import AprcAlgorithm
 from repro.analysis import print_series
 from repro.baselines import AprcParams
-from repro.scenarios import on_off, staggered_start
+from repro.scenarios import build_atm, onoff_config, staggered_config
 
 DURATION = 0.4
 VQT = 300
@@ -19,10 +19,12 @@ VQT = 300
 
 def test_e15_aprc(run_once, benchmark):
     runs = run_once(lambda: {
-        "staggered": staggered_start(AprcAlgorithm, n_sessions=2,
-                                     duration=DURATION),
-        "onoff": on_off(AprcAlgorithm, greedy=1, bursty=2,
-                        duration=DURATION, seed=7),
+        "staggered": build_atm(
+            staggered_config(n_sessions=2, duration=DURATION),
+            algorithm_factory=AprcAlgorithm),
+        "onoff": build_atm(
+            onoff_config(greedy=1, bursty=2, duration=DURATION),
+            algorithm_factory=AprcAlgorithm, seed=7),
     })
 
     onoff = runs["onoff"]

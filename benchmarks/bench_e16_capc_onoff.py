@@ -10,7 +10,7 @@ import math
 
 from repro import CapcAlgorithm, PhantomAlgorithm
 from repro.analysis import print_series
-from repro.scenarios import on_off, staggered_start
+from repro.scenarios import build_atm, onoff_config, staggered_config
 
 DURATION = 0.5
 
@@ -24,15 +24,16 @@ def ramp_time(run, target):
 
 
 def test_e16_capc_onoff(run_once, benchmark):
+    onoff = onoff_config(greedy=1, bursty=2, duration=DURATION)
+    ramp = staggered_config(n_sessions=2, duration=DURATION)
     runs = run_once(lambda: {
-        "capc_onoff": on_off(CapcAlgorithm, greedy=1, bursty=2,
-                             duration=DURATION, seed=7),
-        "phantom_onoff": on_off(PhantomAlgorithm, greedy=1, bursty=2,
-                                duration=DURATION, seed=7),
-        "capc_ramp": staggered_start(CapcAlgorithm, n_sessions=2,
-                                     duration=DURATION),
-        "phantom_ramp": staggered_start(PhantomAlgorithm, n_sessions=2,
-                                        duration=DURATION),
+        "capc_onoff": build_atm(onoff, algorithm_factory=CapcAlgorithm,
+                                seed=7),
+        "phantom_onoff": build_atm(onoff,
+                                   algorithm_factory=PhantomAlgorithm,
+                                   seed=7),
+        "capc_ramp": build_atm(ramp, algorithm_factory=CapcAlgorithm),
+        "phantom_ramp": build_atm(ramp, algorithm_factory=PhantomAlgorithm),
     })
 
     capc = runs["capc_onoff"]

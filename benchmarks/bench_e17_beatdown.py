@@ -10,7 +10,7 @@ session's rate under each algorithm.
 
 from repro import CapcAlgorithm, EprcaAlgorithm, PhantomAlgorithm
 from repro.analysis import format_table
-from repro.scenarios import parking_lot
+from repro.scenarios import build_atm, parking_config
 
 DURATION = 0.4
 HOPS = 4
@@ -23,12 +23,12 @@ def long_share(run):
 
 
 def test_e17_beatdown(run_once, benchmark):
+    config = parking_config(hops=HOPS, duration=DURATION)
     runs = run_once(lambda: {
-        "phantom": parking_lot(PhantomAlgorithm, hops=HOPS,
-                               duration=DURATION),
-        "eprca": parking_lot(EprcaAlgorithm, hops=HOPS, duration=DURATION),
-        "capc": parking_lot(CapcAlgorithm, hops=HOPS, duration=DURATION),
-    })
+        name: build_atm(config, algorithm_factory=factory)
+        for name, factory in (("phantom", PhantomAlgorithm),
+                              ("eprca", EprcaAlgorithm),
+                              ("capc", CapcAlgorithm))})
 
     shares = {name: long_share(run) for name, run in runs.items()}
     print()

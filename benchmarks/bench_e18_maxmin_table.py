@@ -8,7 +8,8 @@ goodput next to the phantom-adjusted max-min allocation (scaled by the
 
 from repro import PhantomAlgorithm, phantom_allocation
 from repro.analysis import allocation_error, format_table
-from repro.scenarios import parking_lot, rtt_spread, staggered_start
+from repro.scenarios import (build_atm, parking_config, rtt_config,
+                             staggered_config)
 
 FACTOR = 5.0
 RM_OVERHEAD = 31 / 32
@@ -27,13 +28,15 @@ def reference_for(config, n_or_hops):
 
 
 def test_e18_maxmin_table(run_once, benchmark):
+    configs = {
+        "staggered_3": staggered_config(n_sessions=3, stagger=0.02,
+                                        duration=0.3),
+        "rtt_spread": rtt_config(duration=0.3),
+        "parking_lot": parking_config(hops=3, duration=0.3),
+    }
     runs = run_once(lambda: {
-        "staggered_3": staggered_start(PhantomAlgorithm, n_sessions=3,
-                                       stagger=0.02, duration=0.3),
-        "rtt_spread": rtt_spread(PhantomAlgorithm, duration=0.3),
-        "parking_lot": parking_lot(PhantomAlgorithm, hops=3,
-                                   duration=0.3),
-    })
+        name: build_atm(config, algorithm_factory=PhantomAlgorithm)
+        for name, config in configs.items()})
 
     rows = []
     errors = {}

@@ -12,15 +12,16 @@ the session count grows.
 from repro import EprcaAlgorithm, PhantomAlgorithm
 from repro.analysis import format_table
 from repro.baselines import EricaAlgorithm
-from repro.scenarios import staggered_start
+from repro.scenarios import build_atm, staggered_config
 
 DURATION = 0.3
 SESSION_COUNTS = (2, 8)
 
 
 def measure(factory, n_sessions):
-    run = staggered_start(factory, n_sessions=n_sessions, stagger=0.01,
-                          duration=DURATION)
+    run = build_atm(staggered_config(n_sessions=n_sessions, stagger=0.01,
+                                     duration=DURATION),
+                    algorithm_factory=factory)
     state_size = len(run.bottleneck.algorithm.state_vars())
     return {
         "jain": run.jain(),

@@ -1,8 +1,10 @@
 """Fast kernel against the evented reference on generated scenarios
-(a step of the fuzz-smoke workflow job).
+and the paper's ATM experiments (a step of the fuzz-smoke workflow job).
 
 Each of the first ``--count`` configs of ``fuzz.gen.generate_batch``
-for ``--seed`` is built twice and run to its horizon, once by the fast
+for ``--seed``, then every ATM row of the E01-E26 suite (its
+configuration, algorithm and seed as the registry entry renders it, at
+full horizon), is built twice and run to its horizon, once by the fast
 kernel (an unbounded run, which drains cell trains inline and absorbs
 deliveries into counting sinks) and once as the evented reference (a
 run bounded by ``max_events``, which takes neither shortcut).  Any
@@ -24,8 +26,39 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.exec.registry import all_scenarios
+from repro.exec.spec import derive_seed
+from repro.exec.suite import SUITE
 from repro.fuzz.gen import generate_batch
 from repro.perf.golden import reference_problems
+from repro.scenarios import atm
+
+#: ATM registry entry -> the configuration it renders with build_atm.
+CONFIGS = {
+    "atm.staggered": atm.staggered_config,
+    "atm.onoff": atm.onoff_config,
+    "atm.rtt": atm.rtt_config,
+    "atm.parking": atm.parking_config,
+    "atm.transient": atm.transient_config,
+    "atm.background": atm.background_config,
+    "atm.weighted": atm.weighted_config,
+}
+
+
+def suite_inputs(seed: int):
+    """``(task id, config, seed)`` of every ATM suite row: the entry's
+    config with its algorithm keys, and the seed a suite task gets."""
+    entries = all_scenarios()
+    for task_id, scenario, params in SUITE:
+        if entries[scenario].kind != "atm":
+            continue
+        options = dict(params)
+        algorithm = {key: options.pop(key)
+                     for key in ("algorithm", "algorithm_params")
+                     if key in options}
+        config = dict(CONFIGS[scenario](**options), **algorithm)
+        yield task_id, config, (derive_seed(seed, task_id)
+                                if entries[scenario].takes_seed else 0)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -33,15 +66,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--count", type=int, default=60)
     args = parser.parse_args(argv)
+    inputs = [(spec.task_id, spec.config, spec.seed)
+              for spec in generate_batch(args.seed, args.count)]
+    inputs += suite_inputs(args.seed)
     failed = 0
-    for spec in generate_batch(args.seed, args.count):
-        problems = reference_problems(spec.config, spec.seed)
+    for task_id, config, seed in inputs:
+        problems = reference_problems(config, seed)
         status = "ok" if not problems else "DIFFERS"
-        print(f"fast-vs-reference {status}: {spec.task_id}", flush=True)
+        print(f"fast-vs-reference {status}: {task_id}", flush=True)
         for line in problems:
             print(f"  {line}", flush=True)
         failed += bool(problems)
-    print(f"fast-vs-reference: {failed} of {args.count} configs differ",
+    print(f"fast-vs-reference: {failed} of {len(inputs)} configs differ",
           flush=True)
     return 1 if failed else 0
 

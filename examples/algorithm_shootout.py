@@ -13,7 +13,7 @@ Run:  python examples/algorithm_shootout.py   (~1 minute)
 from repro import (AprcAlgorithm, CapcAlgorithm, EprcaAlgorithm,
                    PhantomAlgorithm)
 from repro.analysis import format_table
-from repro.scenarios import on_off, staggered_start
+from repro.scenarios import build_atm, onoff_config, staggered_config
 
 ALGORITHMS = [
     ("Phantom", PhantomAlgorithm),
@@ -24,14 +24,16 @@ ALGORITHMS = [
 
 
 def staggered_row(name, factory):
-    run = staggered_start(factory, n_sessions=2, duration=0.4)
+    run = build_atm(staggered_config(n_sessions=2, duration=0.4),
+                    algorithm_factory=factory)
     queue = run.queue_stats()
     return [name, run.jain(), run.utilization(), queue["max"],
             queue["mean"]]
 
 
 def onoff_row(name, factory):
-    run = on_off(factory, greedy=1, bursty=2, duration=0.4)
+    run = build_atm(onoff_config(greedy=1, bursty=2, duration=0.4),
+                    algorithm_factory=factory, seed=7)
     rates = run.steady_rates(fraction=0.5)
     queue = run.queue_stats()
     return [name, rates["greedy0"], queue["max"], queue["mean"]]

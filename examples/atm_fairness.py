@@ -11,7 +11,7 @@ Run:  python examples/atm_fairness.py
 
 from repro import PhantomAlgorithm, phantom_allocation
 from repro.analysis import allocation_error, format_table, jain_index
-from repro.scenarios import parking_lot
+from repro.scenarios import build_atm, parking_config
 
 HOPS = 3
 LINK = 150.0
@@ -19,7 +19,8 @@ FACTOR = 5.0
 
 
 def main() -> None:
-    run = parking_lot(PhantomAlgorithm, hops=HOPS, duration=0.3)
+    run = build_atm(parking_config(hops=HOPS, duration=0.3),
+                    algorithm_factory=PhantomAlgorithm)
     measured = run.steady_rates()
 
     # analytic reference: each trunk carries the long session, one cross

@@ -18,7 +18,8 @@ from repro import (AprcAlgorithm, CapcAlgorithm, EprcaAlgorithm,
 from repro.analysis import write_csv
 from repro.baselines import EricaAlgorithm
 from repro.core import BinaryPhantomAlgorithm
-from repro.scenarios import on_off, parking_lot, rtt_spread, staggered_start
+from repro.scenarios import (build_atm, onoff_config, parking_config,
+                             rtt_config, staggered_config)
 
 ALGORITHMS = {
     "phantom": PhantomAlgorithm,
@@ -29,11 +30,12 @@ ALGORITHMS = {
     "erica": EricaAlgorithm,
 }
 
+#: name -> the paper configuration it plots (a scenario config).
 SCENARIOS = {
-    "staggered": staggered_start,
-    "onoff": on_off,
-    "rtt": rtt_spread,
-    "parking_lot": parking_lot,
+    "staggered": staggered_config,
+    "onoff": onoff_config,
+    "rtt": rtt_config,
+    "parking_lot": parking_config,
 }
 
 
@@ -65,8 +67,10 @@ def main(argv=None) -> int:
     written = []
     for scenario_name in scenarios:
         for algorithm_name in algorithms:
-            run = SCENARIOS[scenario_name](
-                ALGORITHMS[algorithm_name], duration=args.duration)
+            # seed 7 draws E02's on/off phases
+            run = build_atm(SCENARIOS[scenario_name](duration=args.duration),
+                            algorithm_factory=ALGORITHMS[algorithm_name],
+                            seed=7)
             path = args.outdir / f"{scenario_name}-{algorithm_name}.csv"
             export(run, path, args.duration)
             written.append(path)

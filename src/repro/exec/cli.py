@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from inspect import signature
 from typing import Any, NoReturn, Sequence
 
 from repro.analysis import format_table
@@ -162,6 +161,13 @@ def _entry(name: str) -> ScenarioEntry:
         _usage_error(f"unknown scenario {name!r}; known: "
                      f"{', '.join(known)}")
     return known[name]
+
+
+def _check_params(entry: ScenarioEntry, params: dict[str, Any]) -> None:
+    try:
+        entry.check_params(params)
+    except (TypeError, ValueError) as exc:
+        _usage_error(str(exc))
 
 
 def _cache(args: argparse.Namespace) -> ResultCache | None:
@@ -377,12 +383,7 @@ def run_single_command(args: argparse.Namespace) -> int:
 
     entry = _entry(args.name)
     params = parse_settings(args.settings)
-    # a live tracer is the one keyword no spec carries
-    accepted = set(signature(entry.fn).parameters) - {"tracer"}
-    unknown = sorted(set(params) - accepted)
-    if unknown:
-        _usage_error(f"{args.name} takes no {', '.join(unknown)}; its "
-                     f"keys: {', '.join(sorted(accepted))}")
+    _check_params(entry, params)
     seed = params.pop("seed", None)
     config = params.pop("config", None)
     try:
@@ -440,13 +441,15 @@ def _print_run_health(report: dict[str, Any]) -> None:
 
 
 def run_sweep_command(args: argparse.Namespace) -> int:
-    _entry(args.scenario)
+    entry = _entry(args.scenario)
     axes = _parse_axes(args.param)
     if not axes:
         raise SystemExit("sweep needs at least one --param axis")
     base = parse_settings(args.settings)
     specs = sweep_specs(args.scenario, axes, base=base, seed=args.seed,
                         probes=tuple(args.probe))
+    for spec in specs:
+        _check_params(entry, spec.params)
     cache = _cache(args)
     jobs = args.jobs if args.jobs is not None else default_jobs()
     # wall-clock read is the measurement itself (CLI layer)

@@ -7,8 +7,12 @@ worker, against the same tables the CLI uses — plus ``tracer``, which
 no spec carries: ``repro run --trace`` hands a live
 :class:`~repro.obs.Tracer` to the same entry a suite task calls.
 Entries return the run handles the scenario builders produce
-(:class:`~repro.scenarios.results.AtmRun` / ``TcpRun``), which the
-worker reduces to metrics and probe digests.
+(:class:`~repro.scenarios.results.AtmRun` / ``TcpRun`` /
+:class:`~repro.fluid.results.FluidRun`), which the worker reduces to
+metrics and probe digests.  Each ATM and fluid entry takes one of the
+paper's configs from :mod:`repro.scenarios.atm` and renders it: cell
+by cell with :func:`~repro.scenarios.generic.build_atm`, or as rates
+with :func:`~repro.fluid.scenarios.build_fluid`.
 
 Registering an entry imports nothing from the simulator: each entry
 imports its builder in its own body, and the algorithm and policy
@@ -16,8 +20,9 @@ tables hold dotted names resolved at call time.  So a cached replay,
 which looks entries up but never calls them, stays as cheap as the
 registry itself.
 
-Fingerprint roots: every ATM entry declares ``repro.scenarios.atm`` (or
-the modules it builds from directly) and every TCP entry
+Fingerprint roots: every entry declares the modules of its config and
+its renderer (``repro.scenarios.atm`` with ``repro.scenarios.generic``
+or ``repro.fluid.scenarios``) and every TCP entry
 ``repro.scenarios.tcp``; :func:`atm_param_deps` / :func:`tcp_param_deps`
 add the module defining the *chosen* algorithm/policy, so an edit to
 ``repro/baselines/capc.py`` invalidates only the CAPC tasks.  The
@@ -99,15 +104,6 @@ def _algorithm_factory(algorithm: str,
     return partial(cls, params_cls(**opts), **extra)
 
 
-def _abr_params(session_params: Mapping[str, Any] | None) -> dict:
-    """``params=`` kwarg for scenario builders, or nothing for defaults."""
-    if session_params is None:
-        return {}
-    from repro.atm import AbrParams
-
-    return {"params": AbrParams(**session_params)}
-
-
 def _policy_factory(policy: str,
                     policy_params: Mapping[str, Any] | None):
     """Picklable policy factory for the named router mechanism."""
@@ -136,20 +132,29 @@ def tcp_param_deps(params: dict) -> tuple[str, ...]:
 
 
 # ----------------------------------------------------------------------
-# ATM entries
+# ATM entries: a repro.scenarios.atm config rendered by build_atm
 # ----------------------------------------------------------------------
+def _atm_run(config: Mapping[str, Any], algorithm: str,
+             algorithm_params: Mapping[str, Any] | None,
+             seed: int | None = 0, tracer=None) -> AtmRun:
+    from repro.scenarios.generic import build_atm
+
+    return build_atm(config, algorithm_factory=_algorithm_factory(
+        algorithm, algorithm_params), seed=seed, tracer=tracer)
+
+
 def atm_staggered(algorithm: str = "phantom",
                   algorithm_params: Mapping[str, Any] | None = None,
                   session_params: Mapping[str, Any] | None = None,
                   n_sessions: int = 2, stagger: float = 0.03,
                   duration: float = 0.25,
                   link_rate: float = 150.0, tracer=None) -> AtmRun:
-    from repro.scenarios.atm import staggered_start
+    from repro.scenarios.atm import staggered_config
 
-    return staggered_start(
-        _algorithm_factory(algorithm, algorithm_params),
+    return _atm_run(staggered_config(
         n_sessions=n_sessions, stagger=stagger, duration=duration,
-        link_rate=link_rate, tracer=tracer, **_abr_params(session_params))
+        link_rate=link_rate, session_params=session_params),
+        algorithm, algorithm_params, tracer=tracer)
 
 
 def atm_rtt(algorithm: str = "phantom",
@@ -158,12 +163,12 @@ def atm_rtt(algorithm: str = "phantom",
             access_delays: Sequence[float] = (1e-5, 5e-4, 2e-3),
             duration: float = 0.3, link_rate: float = 150.0,
             tracer=None) -> AtmRun:
-    from repro.scenarios.atm import rtt_spread
+    from repro.scenarios.atm import rtt_config
 
-    return rtt_spread(
-        _algorithm_factory(algorithm, algorithm_params),
-        access_delays=tuple(access_delays), duration=duration,
-        link_rate=link_rate, tracer=tracer, **_abr_params(session_params))
+    return _atm_run(rtt_config(
+        access_delays=access_delays, duration=duration,
+        link_rate=link_rate, session_params=session_params),
+        algorithm, algorithm_params, tracer=tracer)
 
 
 def atm_onoff(algorithm: str = "phantom",
@@ -171,15 +176,15 @@ def atm_onoff(algorithm: str = "phantom",
               session_params: Mapping[str, Any] | None = None,
               greedy: int = 1, bursty: int = 2, on_time: float = 0.02,
               off_time: float = 0.02, duration: float = 0.4,
-              link_rate: float = 150.0, seed: int | None = 7,
+              link_rate: float = 150.0, seed: int = 7,
               tracer=None) -> AtmRun:
-    from repro.scenarios.atm import on_off
+    from repro.scenarios.atm import onoff_config
 
-    return on_off(
-        _algorithm_factory(algorithm, algorithm_params),
+    return _atm_run(onoff_config(
         greedy=greedy, bursty=bursty, on_time=on_time, off_time=off_time,
-        duration=duration, link_rate=link_rate, seed=seed, tracer=tracer,
-        **_abr_params(session_params))
+        duration=duration, link_rate=link_rate,
+        session_params=session_params),
+        algorithm, algorithm_params, seed=seed, tracer=tracer)
 
 
 def atm_parking(algorithm: str = "phantom",
@@ -187,12 +192,12 @@ def atm_parking(algorithm: str = "phantom",
                 session_params: Mapping[str, Any] | None = None,
                 hops: int = 3, duration: float = 0.3,
                 link_rate: float = 150.0, tracer=None) -> AtmRun:
-    from repro.scenarios.atm import parking_lot
+    from repro.scenarios.atm import parking_config
 
-    return parking_lot(
-        _algorithm_factory(algorithm, algorithm_params),
-        hops=hops, duration=duration, link_rate=link_rate, tracer=tracer,
-        **_abr_params(session_params))
+    return _atm_run(parking_config(
+        hops=hops, duration=duration, link_rate=link_rate,
+        session_params=session_params),
+        algorithm, algorithm_params, tracer=tracer)
 
 
 def atm_transient(algorithm: str = "phantom",
@@ -201,12 +206,12 @@ def atm_transient(algorithm: str = "phantom",
                   duration: float = 0.4, join_at: float = 0.1,
                   leave_at: float = 0.25, link_rate: float = 150.0,
                   tracer=None) -> AtmRun:
-    from repro.scenarios.atm import transient
+    from repro.scenarios.atm import transient_config
 
-    return transient(
-        _algorithm_factory(algorithm, algorithm_params),
+    return _atm_run(transient_config(
         duration=duration, join_at=join_at, leave_at=leave_at,
-        link_rate=link_rate, tracer=tracer, **_abr_params(session_params))
+        link_rate=link_rate, session_params=session_params),
+        algorithm, algorithm_params, tracer=tracer)
 
 
 def atm_background(algorithm: str = "phantom",
@@ -215,24 +220,12 @@ def atm_background(algorithm: str = "phantom",
                    cbr_start: float = 0.15, cbr_stop: float = 0.30,
                    duration: float = 0.45, link_rate: float = 150.0,
                    tracer=None) -> AtmRun:
-    """ABR sessions sharing a trunk with a guaranteed CBR stream (E23)."""
-    from repro.atm import AtmNetwork
-    from repro.scenarios.results import AtmRun
+    from repro.scenarios.atm import background_config
 
-    net = AtmNetwork(
-        algorithm_factory=_algorithm_factory(algorithm, algorithm_params),
-        link_rate=link_rate, tracer=tracer)
-    net.add_switch("S1")
-    net.add_switch("S2")
-    net.connect("S1", "S2")
-    for i in range(n_sessions):
-        net.add_session(f"s{i}", route=["S1", "S2"])
-    net.add_cbr("bg", route=["S1", "S2"], rate_mbps=cbr_rate,
-                start=cbr_start, stop=cbr_stop)
-    result = AtmRun(net=net, bottleneck=net.trunk("S1", "S2"),
-                    duration=duration)
-    net.run(until=duration)
-    return result
+    return _atm_run(background_config(
+        n_sessions=n_sessions, cbr_rate=cbr_rate, cbr_start=cbr_start,
+        cbr_stop=cbr_stop, duration=duration, link_rate=link_rate),
+        algorithm, algorithm_params, tracer=tracer)
 
 
 def atm_weighted(algorithm: str = "phantom",
@@ -240,54 +233,47 @@ def atm_weighted(algorithm: str = "phantom",
                  weights: Mapping[str, float] | None = None,
                  duration: float = 0.3, link_rate: float = 150.0,
                  tracer=None) -> AtmRun:
-    """Weighted-Phantom fair-share split over one trunk (E25)."""
-    from repro.atm import AbrParams, AtmNetwork
-    from repro.scenarios.results import AtmRun
+    from repro.scenarios.atm import weighted_config
 
-    if weights is None:
-        weights = {"w1": 1.0, "w2": 2.0, "w4": 4.0}
-    net = AtmNetwork(
-        algorithm_factory=_algorithm_factory(algorithm, algorithm_params),
-        link_rate=link_rate, tracer=tracer)
-    net.add_switch("S1")
-    net.add_switch("S2")
-    net.connect("S1", "S2")
-    for name in sorted(weights):
-        net.add_session(name, route=["S1", "S2"],
-                        params=AbrParams(weight=weights[name]))
-    result = AtmRun(net=net, bottleneck=net.trunk("S1", "S2"),
-                    duration=duration)
-    net.run(until=duration)
-    return result
+    return _atm_run(weighted_config(
+        weights=weights, duration=duration, link_rate=link_rate),
+        algorithm, algorithm_params, tracer=tracer)
 
 
 def fuzz_generic(config: Mapping[str, Any], seed: int | None = None,
                  tracer=None) -> AtmRun:
     """Config-driven ATM scenario — the fuzzer's resolution target.
 
-    Unlike every other ATM entry, the whole scenario (topology,
-    sessions, schedules, algorithm) arrives as the spec's inline
-    ``config`` mapping; only the algorithm name/params are resolved
-    here, against the same table the hand-written entries use.
+    The whole scenario (topology, sessions, schedules, algorithm)
+    arrives as the spec's inline ``config`` mapping; the algorithm
+    name/params are resolved against the same table the other ATM
+    entries use.
     """
-    from repro.scenarios.generic import build_atm
-
-    return build_atm(
-        config,
-        algorithm_factory=_algorithm_factory(
-            config.get("algorithm", "phantom"),
-            config.get("algorithm_params")),
-        seed=seed, tracer=tracer)
+    return _atm_run(config, config.get("algorithm", "phantom"),
+                    config.get("algorithm_params"), seed=seed,
+                    tracer=tracer)
 
 
 def fuzz_param_deps(params: dict) -> tuple[str, ...]:
     config = params.get("config") or {}
+    if not isinstance(config, Mapping):
+        raise ValueError(f"config must be a mapping, got "
+                         f"{type(config).__name__}")
     return (_algorithm_module(config.get("algorithm", "phantom")),)
 
 
 # ----------------------------------------------------------------------
-# fluid entries
+# fluid entries: the same configs rendered by build_fluid
 # ----------------------------------------------------------------------
+def _fluid_run(config: Mapping[str, Any],
+               phantom_params: Mapping[str, Any] | None, tracer,
+               **options: Any):
+    from repro.fluid.scenarios import build_fluid
+
+    return build_fluid(config, tracer=tracer, **options,
+                       **_phantom_params(phantom_params))
+
+
 def _phantom_params(phantom_params: Mapping[str, Any] | None):
     """``phantom=`` kwarg for fluid builders, or nothing for defaults."""
     if phantom_params is None:
@@ -305,30 +291,30 @@ def fluid_staggered(n_sessions: int = 2, stagger: float = 0.03,
                     session_params: Mapping[str, Any] | None = None,
                     phantom_params: Mapping[str, Any] | None = None,
                     tracer=None):
-    from repro.fluid.scenarios import staggered_start
+    from repro.scenarios.atm import staggered_config
 
-    return staggered_start(
+    config = staggered_config(
         n_sessions=n_sessions, stagger=stagger, duration=duration,
-        link_rate=link_rate, flows_per_session=flows_per_session,
-        mode=mode, use_ni=use_ni, ni_fraction=ni_fraction,
-        rm_loss=rm_loss, tracer=tracer, **_abr_params(session_params),
-        **_phantom_params(phantom_params))
+        link_rate=link_rate, session_params=session_params)
+    return _fluid_run(dict(config, rm_loss=rm_loss), phantom_params,
+                      tracer, flows_per_session=flows_per_session,
+                      mode=mode, use_ni=use_ni, ni_fraction=ni_fraction)
 
 
 def fluid_onoff(greedy: int = 1, bursty: int = 2, on_time: float = 0.02,
                 off_time: float = 0.02, duration: float = 0.4,
                 link_rate: float = 150.0, flows_per_session: int = 1,
-                seed: int | None = 7,
+                seed: int = 7,
                 session_params: Mapping[str, Any] | None = None,
                 phantom_params: Mapping[str, Any] | None = None,
                 tracer=None):
-    from repro.fluid.scenarios import on_off
+    from repro.scenarios.atm import onoff_config
 
-    return on_off(
-        greedy=greedy, bursty=bursty, on_time=on_time,
-        off_time=off_time, duration=duration, link_rate=link_rate,
-        flows_per_session=flows_per_session, seed=seed, tracer=tracer,
-        **_abr_params(session_params), **_phantom_params(phantom_params))
+    return _fluid_run(onoff_config(
+        greedy=greedy, bursty=bursty, on_time=on_time, off_time=off_time,
+        duration=duration, link_rate=link_rate,
+        session_params=session_params), phantom_params, tracer,
+        flows_per_session=flows_per_session, seed=seed)
 
 
 def fluid_parking(hops: int = 3, duration: float = 0.3,
@@ -336,12 +322,12 @@ def fluid_parking(hops: int = 3, duration: float = 0.3,
                   session_params: Mapping[str, Any] | None = None,
                   phantom_params: Mapping[str, Any] | None = None,
                   tracer=None):
-    from repro.fluid.scenarios import parking_lot
+    from repro.scenarios.atm import parking_config
 
-    return parking_lot(
+    return _fluid_run(parking_config(
         hops=hops, duration=duration, link_rate=link_rate,
-        flows_per_session=flows_per_session, tracer=tracer,
-        **_abr_params(session_params), **_phantom_params(phantom_params))
+        session_params=session_params), phantom_params, tracer,
+        flows_per_session=flows_per_session)
 
 
 def fluid_transient(duration: float = 0.4, join_at: float = 0.1,
@@ -350,13 +336,12 @@ def fluid_transient(duration: float = 0.4, join_at: float = 0.1,
                     session_params: Mapping[str, Any] | None = None,
                     phantom_params: Mapping[str, Any] | None = None,
                     tracer=None):
-    from repro.fluid.scenarios import transient
+    from repro.scenarios.atm import transient_config
 
-    return transient(
+    return _fluid_run(transient_config(
         duration=duration, join_at=join_at, leave_at=leave_at,
-        link_rate=link_rate, flows_per_session=flows_per_session,
-        tracer=tracer, **_abr_params(session_params),
-        **_phantom_params(phantom_params))
+        link_rate=link_rate, session_params=session_params),
+        phantom_params, tracer, flows_per_session=flows_per_session)
 
 
 def fluid_many(cohorts: int = 1000, flows_per_cohort: int = 1000,
@@ -366,14 +351,16 @@ def fluid_many(cohorts: int = 1000, flows_per_cohort: int = 1000,
                session_params: Mapping[str, Any] | None = None,
                phantom_params: Mapping[str, Any] | None = None,
                tracer=None):
+    from repro.atm.params import AbrParams
     from repro.fluid.scenarios import many_flows
 
     return many_flows(
         cohorts=cohorts, flows_per_cohort=flows_per_cohort,
         greedy=greedy, background_load=background_load,
         duration=duration, link_rate=link_rate,
+        params=AbrParams(**dict(session_params or {})),
         record_cohorts=record_cohorts, tracer=tracer,
-        **_abr_params(session_params), **_phantom_params(phantom_params))
+        **_phantom_params(phantom_params))
 
 
 def fluid_hybrid_e01(foreground: int = 2, background: int = 500,
@@ -388,8 +375,9 @@ def fluid_hybrid_e01(foreground: int = 2, background: int = 500,
     return hybrid_staggered(
         foreground=foreground, background=background,
         background_demand_mbps=background_demand_mbps, stagger=stagger,
-        duration=duration, link_rate=link_rate, tracer=tracer,
-        **_abr_params(session_params), **_phantom_params(phantom_params))
+        duration=duration, link_rate=link_rate,
+        session_params=session_params, tracer=tracer,
+        **_phantom_params(phantom_params))
 
 
 # ----------------------------------------------------------------------
@@ -472,7 +460,7 @@ def tcp_twoway(policy: str = "selective-discard",
 # ----------------------------------------------------------------------
 # registration
 # ----------------------------------------------------------------------
-_ATM_DEPS = ("repro.scenarios.atm",)
+_ATM_DEPS = ("repro.scenarios.atm", "repro.scenarios.generic")
 _TCP_DEPS = ("repro.scenarios.tcp",)
 
 register_scenario("atm.staggered", atm_staggered, kind="atm",
@@ -486,16 +474,14 @@ register_scenario("atm.parking", atm_parking, kind="atm",
 register_scenario("atm.transient", atm_transient, kind="atm",
                   deps=_ATM_DEPS, param_deps=atm_param_deps)
 register_scenario("atm.background", atm_background, kind="atm",
-                  deps=("repro.atm", "repro.scenarios.results"),
-                  param_deps=atm_param_deps)
+                  deps=_ATM_DEPS, param_deps=atm_param_deps)
 register_scenario("atm.weighted", atm_weighted, kind="atm",
-                  deps=("repro.atm", "repro.scenarios.results"),
-                  param_deps=atm_param_deps)
+                  deps=_ATM_DEPS, param_deps=atm_param_deps)
 register_scenario("fuzz.generic", fuzz_generic, kind="atm",
                   deps=("repro.scenarios.generic",),
                   param_deps=fuzz_param_deps)
 
-_FLUID_DEPS = ("repro.fluid.scenarios",)
+_FLUID_DEPS = ("repro.scenarios.atm", "repro.fluid.scenarios")
 
 register_scenario("fluid.staggered", fluid_staggered, kind="fluid",
                   deps=_FLUID_DEPS)
@@ -506,7 +492,7 @@ register_scenario("fluid.parking", fluid_parking, kind="fluid",
 register_scenario("fluid.transient", fluid_transient, kind="fluid",
                   deps=_FLUID_DEPS)
 register_scenario("fluid.many", fluid_many, kind="fluid",
-                  deps=_FLUID_DEPS)
+                  deps=("repro.fluid.scenarios",))
 register_scenario("fluid.hybrid_e01", fluid_hybrid_e01, kind="fluid",
                   deps=("repro.fluid.hybrid",))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from inspect import signature
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,24 @@ class ScenarioEntry:
     param_deps: Callable[[dict], tuple[str, ...]] | None = None
     #: Whether ``fn`` accepts a ``seed`` keyword (precomputed).
     takes_seed: bool = False
+
+    def check_params(self, params: Mapping[str, Any]) -> None:
+        """Raise ``ValueError`` unless ``params`` can reach ``fn``.
+
+        Every key must be one of ``fn``'s keywords — except ``tracer``,
+        which carries a live object no spec can — and the algorithm or
+        policy a key names must be known to :attr:`param_deps`, whose
+        lookup raises with the known names.  A spec that fails here
+        would otherwise fail inside the worker, deep in a builder.
+        """
+        accepted = set(signature(self.fn).parameters) - {"tracer"}
+        unknown = sorted(set(params) - accepted)
+        if unknown:
+            raise ValueError(
+                f"{self.name} takes no {', '.join(unknown)}; its keys: "
+                f"{', '.join(sorted(accepted))}")
+        if self.param_deps is not None:
+            self.param_deps(dict(params))
 
 
 _SCENARIOS: dict[str, ScenarioEntry] = {}

@@ -26,8 +26,10 @@ from repro.exec.spec import TaskSpec, derive_seed
 _TIME_KEYS = ("duration", "stagger", "join_at", "leave_at",
               "cbr_start", "cbr_stop")
 
-#: Below this the shortest scenarios no longer reach steady state at
-#: all; mirrors repro.perf.workloads.MIN_SCALE.
+#: Below this the shortest horizons (E01's 0.25 s becomes 12.5 ms, a
+#: dozen control intervals) leave no steady window at all.  Unlike
+#: repro.perf.workloads.MIN_SCALE (0.15), whose workloads keep E01's
+#: 30 ms stagger, the suite scales every event time with the horizon.
 MIN_SCALE = 0.05
 
 #: Experiment table: (task_id, scenario, params).  Time-like params are

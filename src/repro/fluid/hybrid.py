@@ -28,13 +28,16 @@ the fluid side lags one interval for the same reason.
 
 from __future__ import annotations
 
-from repro.atm.params import AbrParams, PAPER_PARAMS
+from typing import Any, Mapping
+
+from repro.atm.params import AbrParams
 from repro.core.params import DEFAULT_PHANTOM_PARAMS, PhantomParams
 from repro.core.phantom import PhantomAlgorithm
 from repro.fluid.model import FluidNetwork, FluidTrunk
 from repro.fluid.results import FluidRun, HybridRun
 from repro.fluid.stepper import cells_to_mbps, rate_cells_per_interval
-from repro.scenarios import atm as packet
+from repro.scenarios.atm import staggered_config
+from repro.scenarios.generic import build_atm
 from repro.sim import PeriodicTimer
 
 
@@ -138,7 +141,7 @@ def hybrid_staggered(foreground: int = 2,
                      stagger: float = 0.03,
                      duration: float = 0.25,
                      link_rate: float = 150.0,
-                     params: AbrParams = PAPER_PARAMS,
+                     session_params: Mapping[str, Any] | None = None,
                      phantom: PhantomParams | None = None,
                      tracer=None,
                      run: bool = True) -> HybridRun:
@@ -169,13 +172,16 @@ def hybrid_staggered(foreground: int = 2,
         raise ValueError(
             f"background load {load} Mb/s >= link rate {link_rate}")
     phantom = phantom or DEFAULT_PHANTOM_PARAMS
-    atm_run = packet.staggered_start(
-        lambda: PhantomAlgorithm(phantom), n_sessions=foreground,
-        stagger=stagger, duration=duration, link_rate=link_rate,
-        params=params, tracer=tracer, run=False)
+    atm_run = build_atm(
+        staggered_config(n_sessions=foreground, stagger=stagger,
+                         duration=duration, link_rate=link_rate,
+                         session_params=session_params),
+        algorithm_factory=lambda: PhantomAlgorithm(phantom),
+        tracer=tracer, run=False)
     fluid_net = FluidNetwork(phantom=phantom, tracer=tracer)
     trunk_name = f"{atm_run.bottleneck.name}:fluid"
     trunk = fluid_net.add_trunk(trunk_name, capacity_mbps=link_rate)
+    params = AbrParams(**dict(session_params or {}))
     per_cohort, extra = divmod(background, background_cohorts)
     for i in range(background_cohorts):
         count = per_cohort + (1 if i < extra else 0)
@@ -202,7 +208,7 @@ def packet_twin(foreground: int = 2,
                 stagger: float = 0.03,
                 duration: float = 0.25,
                 link_rate: float = 150.0,
-                params: AbrParams = PAPER_PARAMS,
+                session_params: Mapping[str, Any] | None = None,
                 phantom: PhantomParams | None = None,
                 tracer=None,
                 run: bool = True):
@@ -217,10 +223,12 @@ def packet_twin(foreground: int = 2,
     the hybrid speedup is measured against.
     """
     phantom = phantom or DEFAULT_PHANTOM_PARAMS
-    atm_run = packet.staggered_start(
-        lambda: PhantomAlgorithm(phantom), n_sessions=foreground,
-        stagger=stagger, duration=duration, link_rate=link_rate,
-        params=params, tracer=tracer, run=False)
+    atm_run = build_atm(
+        staggered_config(n_sessions=foreground, stagger=stagger,
+                         duration=duration, link_rate=link_rate,
+                         session_params=session_params),
+        algorithm_factory=lambda: PhantomAlgorithm(phantom),
+        tracer=tracer, run=False)
     load = background * background_demand_mbps
     if load >= link_rate:
         raise ValueError(

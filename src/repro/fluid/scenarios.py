@@ -1,15 +1,20 @@
-"""Fluid scenario builders — twins of :mod:`repro.scenarios.atm`.
+"""Fluid scenarios: scenario configs rendered as rates, and the
+million-flow scale scenario.
 
-Each builder mirrors its packet counterpart's topology, session names,
-start times and defaults, so the validation suite can run both and
+:func:`build_fluid` renders the same :mod:`repro.scenarios.generic`
+config that :func:`repro.scenarios.generic.build_atm` runs cell by cell
+— the paper's configurations in :mod:`repro.scenarios.atm` included —
+so the validation suite can run one description on both tiers and
 compare steady-state results name-for-name.  The extra knobs are the
 fluid tier's own: ``flows_per_session`` scales every session into a
-cohort of identical flows at no extra stepping cost, ``mode`` switches
-the source law to binary CI marking, and ``rm_loss`` drops a fraction
-of the feedback.
+cohort of identical flows at no extra stepping cost, and ``mode``
+switches the source law to binary CI marking.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Any, Mapping
 
 from repro.atm.params import AbrParams, PAPER_PARAMS
 from repro.core.params import DEFAULT_PHANTOM_PARAMS, PhantomParams
@@ -23,125 +28,69 @@ from repro.fluid.results import FluidRun
 MANY_FLOW_PHANTOM = PhantomParams(grant_floor_fraction=0.0)
 
 
-def staggered_start(n_sessions: int = 2,
-                    stagger: float = 0.03,
-                    duration: float = 0.25,
-                    link_rate: float = 150.0,
-                    flows_per_session: int = 1,
-                    params: AbrParams = PAPER_PARAMS,
-                    phantom: PhantomParams = DEFAULT_PHANTOM_PARAMS,
-                    mode: str = "er",
-                    use_ni: bool = False,
-                    ni_fraction: float = 0.8,
-                    rm_loss: float = 0.0,
-                    tracer=None,
-                    run: bool = True) -> FluidRun:
-    """n greedy cohorts joining one bottleneck ``stagger`` seconds apart.
-
-    The fluid twin of the paper's introductory configuration (E01).
-    """
-    if n_sessions < 1:
-        raise ValueError(f"need >= 1 session, got {n_sessions!r}")
-    net = FluidNetwork(phantom=phantom, mode=mode, use_ni=use_ni,
-                       ni_fraction=ni_fraction, tracer=tracer)
-    trunk = net.add_trunk("S1->S2", capacity_mbps=link_rate)
-    for i in range(n_sessions):
-        net.add_cohort(f"s{i}", route=["S1->S2"],
-                       count=flows_per_session, params=params,
-                       start=i * stagger, rm_loss=rm_loss)
-    result = FluidRun(net=net, bottleneck=trunk, duration=duration)
-    if run:
-        net.run(until=duration)
-    return result
-
-
-def on_off(greedy: int = 1,
-           bursty: int = 2,
-           on_time: float = 0.02,
-           off_time: float = 0.02,
-           duration: float = 0.4,
-           link_rate: float = 150.0,
-           flows_per_session: int = 1,
-           params: AbrParams = PAPER_PARAMS,
-           phantom: PhantomParams = DEFAULT_PHANTOM_PARAMS,
-           seed: int | None = 7,
-           tracer=None,
-           run: bool = True) -> FluidRun:
-    """Greedy cohorts sharing a trunk with on/off cohorts (E02 twin).
-
-    ``seed=None`` gives deterministic fixed periods, as in the packet
-    builder; otherwise phases are exponential with the given means,
-    drawn from per-cohort named streams in the packet driver's order.
-    """
-    net = FluidNetwork(phantom=phantom, seed=seed, tracer=tracer)
-    trunk = net.add_trunk("S1->S2", capacity_mbps=link_rate)
-    for i in range(greedy):
-        net.add_cohort(f"greedy{i}", route=["S1->S2"],
-                       count=flows_per_session, params=params)
-    for i in range(bursty):
-        net.add_cohort(f"onoff{i}", route=["S1->S2"],
-                       count=flows_per_session, params=params,
-                       on_time=on_time, off_time=off_time)
-    result = FluidRun(net=net, bottleneck=trunk, duration=duration)
-    if run:
-        net.run(until=duration)
-    return result
-
-
-def parking_lot(hops: int = 3,
-                duration: float = 0.3,
-                link_rate: float = 150.0,
-                flows_per_session: int = 1,
-                params: AbrParams = PAPER_PARAMS,
+def build_fluid(config: Mapping[str, Any], *, flows_per_session: int = 1,
                 phantom: PhantomParams = DEFAULT_PHANTOM_PARAMS,
-                tracer=None,
-                run: bool = True) -> FluidRun:
-    """The multi-hop "beat-down" configuration (E05 twin).
+                mode: str = "er", use_ni: bool = False,
+                ni_fraction: float = 0.8, seed: int | None = 0,
+                tracer=None, run: bool = True) -> FluidRun:
+    """Build (and by default run) the fluid twin of a scenario config.
 
-    One long cohort crosses all trunks; each trunk also carries one
-    single-hop cross cohort.  The per-group grant is the min over the
-    route, so the long cohort gets the true-bottleneck grant — no
-    beat-down, as the paper claims for Phantom.
+    Each hop a route crosses becomes a trunk named ``a->b`` like the
+    packet port, at the config trunk's ``rate``; each session becomes a
+    cohort of ``flows_per_session`` flows under the session's name,
+    with its start, stop, on/off means and ABR params; ``rm_loss``
+    thins every cohort's feedback.  The bottleneck follows the packet
+    rule: ``bottleneck``, else the trunk most sessions cross, ties
+    broken by name.  The switch algorithm, delays and buffers are
+    packet-tier keys (``mode`` and ``phantom`` choose the fluid law),
+    and a config with CBR/VBR background is refused: the fluid model has
+    no guaranteed class.  An on/off cohort draws its phases from the
+    ``seed`` stream named after the cohort, whatever the config's
+    ``stream``.
     """
-    if hops < 2:
-        raise ValueError(f"need >= 2 hops, got {hops!r}")
-    net = FluidNetwork(phantom=phantom, tracer=tracer)
-    names = [f"S{i}->S{i + 1}" for i in range(1, hops + 1)]
-    for name in names:
-        net.add_trunk(name, capacity_mbps=link_rate)
-    net.add_cohort("long", route=names, count=flows_per_session,
-                   params=params)
-    for i, name in enumerate(names):
-        net.add_cohort(f"cross{i}", route=[name],
-                       count=flows_per_session, params=params)
-    result = FluidRun(net=net, bottleneck=net.trunks[names[0]],
+    for key in ("cbr", "vbr"):
+        if config.get(key):
+            raise ValueError(f"the fluid tier cannot render {key!r} "
+                             "background traffic")
+    net = FluidNetwork(phantom=phantom, mode=mode, use_ni=use_ni,
+                       ni_fraction=ni_fraction,
+                       seed=seed if seed is not None else 0, tracer=tracer)
+    link_rate = float(config.get("link_rate", 150.0))
+    rates = {}
+    for trunk in config["trunks"]:
+        rate = trunk.get("rate")
+        rates[trunk["a"], trunk["b"]] = rates[trunk["b"], trunk["a"]] = \
+            link_rate if rate is None else float(rate)
+    rm_loss = float(config.get("rm_loss", 0.0))
+    for entry in config["sessions"]:
+        route = entry["route"]
+        hops = []
+        for hop in zip(route, route[1:]):
+            name = "->".join(hop)
+            if name not in net.trunks:
+                net.add_trunk(name, capacity_mbps=rates[hop])
+            hops.append(name)
+        onoff = entry.get("onoff") or {}
+        cohort = net.add_cohort(
+            entry["vc"], hops, count=flows_per_session,
+            params=AbrParams(**dict(entry.get("params") or {})),
+            start=float(entry.get("start", 0.0)),
+            on_time=onoff.get("on"), off_time=onoff.get("off"),
+            rm_loss=rm_loss)
+        if entry.get("stop") is not None:
+            net.at(float(entry["stop"]), partial(cohort.set_active, False))
+    chosen = config.get("bottleneck")
+    if chosen:
+        bottleneck = "->".join(chosen)
+    else:
+        crossings = dict.fromkeys(net.trunks, 0)
+        for cohort in net.cohorts:
+            for hop in cohort.route:
+                crossings[hop] += 1
+        bottleneck = max(sorted(crossings), key=crossings.__getitem__)
+    duration = float(config.get("duration", 0.25))
+    result = FluidRun(net=net, bottleneck=net.trunks[bottleneck],
                       duration=duration)
-    if run:
-        net.run(until=duration)
-    return result
-
-
-def transient(duration: float = 0.4,
-              join_at: float = 0.1,
-              leave_at: float = 0.25,
-              link_rate: float = 150.0,
-              flows_per_session: int = 1,
-              params: AbrParams = PAPER_PARAMS,
-              phantom: PhantomParams = DEFAULT_PHANTOM_PARAMS,
-              tracer=None,
-              run: bool = True) -> FluidRun:
-    """A base cohort runs throughout; a visitor joins, then departs."""
-    if not 0 < join_at < leave_at < duration:
-        raise ValueError("need 0 < join_at < leave_at < duration")
-    net = FluidNetwork(phantom=phantom, tracer=tracer)
-    trunk = net.add_trunk("S1->S2", capacity_mbps=link_rate)
-    net.add_cohort("base", route=["S1->S2"], count=flows_per_session,
-                   params=params)
-    visitor = net.add_cohort("visitor", route=["S1->S2"],
-                             count=flows_per_session, params=params,
-                             start=join_at)
-    net.at(leave_at, lambda: visitor.set_active(False))
-    result = FluidRun(net=net, bottleneck=trunk, duration=duration)
     if run:
         net.run(until=duration)
     return result

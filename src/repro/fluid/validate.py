@@ -1,11 +1,13 @@
 """Packet-vs-fluid validation: the fluid tier's accuracy contract.
 
-Every fluid scenario twin is run side by side with its packet original
-and compared metric by metric — steady per-session rates, Jain index,
-utilisation, queue bounds.  The tolerances below are *committed*: they
-were measured once (see docs/FLUID.md for the full table and the
-reasoning behind each band) and the suite fails when the models drift
-apart further than that.
+Every row of :data:`CASES` is one scenario config, rendered under
+Phantom on both tiers (:func:`repro.scenarios.generic.build_atm` and
+:func:`repro.fluid.scenarios.build_fluid`) and compared metric by
+metric — steady per-session rates, Jain index, utilisation, queue
+bounds.  The tolerances below are *committed*: they were measured once
+(see docs/FLUID.md for the full table and the reasoning behind each
+band) and the suite fails when the models drift apart further than
+that.
 
 Two tolerance regimes:
 
@@ -21,12 +23,13 @@ Two tolerance regimes:
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Mapping, NamedTuple
 
-from repro.atm import Link
 from repro.core import PhantomAlgorithm
-from repro.fluid import scenarios as fluid
-from repro.scenarios import atm as packet
+from repro.fluid.scenarios import build_fluid
+from repro.scenarios.atm import (onoff_config, parking_config,
+                                 staggered_config, transient_config)
+from repro.scenarios.generic import build_atm
 
 #: Committed accuracy bands, measured at the default configurations
 #: below (see docs/FLUID.md for the validation table).
@@ -113,96 +116,54 @@ def _common_rows(scenario: str, packet_run, fluid_run,
     return rows
 
 
-def compare_staggered(n_sessions: int = 2,
-                      duration: float = 0.25) -> list[dict[str, Any]]:
-    """E01: n greedy sessions joining a 150 Mb/s bottleneck."""
-    p = packet.staggered_start(PhantomAlgorithm, n_sessions=n_sessions,
-                               duration=duration)
-    f = fluid.staggered_start(n_sessions=n_sessions, duration=duration)
-    return _common_rows(f"e01_staggered_n{n_sessions}", p, f,
-                        "greedy_rate_rel")
+class Case(NamedTuple):
+    """One validation row: a config, and how its two renderings are
+    compared."""
+
+    config: Mapping[str, Any]
+    #: Tolerance key of the per-session rate rows.
+    rate_band: str
+    #: Sessions crossing the bottleneck, when not all do (see
+    #: :func:`_common_rows`).
+    utilization_sessions: tuple[str, ...] | None = None
+    #: Seed of both renderings (on/off phases, RM-loss coin flips).
+    seed: int = 0
 
 
-def compare_onoff(duration: float = 0.5,
-                  seed: int = 7) -> list[dict[str, Any]]:
-    """E02: one greedy session against two on/off sessions.
-
-    Both models draw exponential phases from the same named streams but
-    consume them differently (events vs rate toggles), so this compares
-    time-average allocations across realisations — bursty band.
-    """
-    p = packet.on_off(PhantomAlgorithm, duration=duration, seed=seed)
-    f = fluid.on_off(duration=duration, seed=seed)
-    return _common_rows(f"e02_onoff_seed{seed}", p, f, "bursty_rate_rel")
-
-
-def compare_parking(hops: int = 3,
-                    duration: float = 0.3) -> list[dict[str, Any]]:
-    """E05: the multi-hop beat-down configuration."""
-    p = packet.parking_lot(PhantomAlgorithm, hops=hops, duration=duration)
-    f = fluid.parking_lot(hops=hops, duration=duration)
-    return _common_rows(f"e05_parking_{hops}hop", p, f,
-                        "greedy_rate_rel",
-                        utilization_sessions=("long", "cross0"))
+#: The validation table, measured at these configurations.  Greedy
+#: configurations converge to the Phantom fixed point in both models;
+#: the on/off row compares time-average allocations across
+#: realisations; under RM loss (live on the packet side, thinned
+#: feedback mass on the fluid side) both loops must hold the lossless
+#: fixed point.
+CASES: dict[str, Case] = {
+    "e01_staggered_n2": Case(staggered_config(n_sessions=2),
+                             "greedy_rate_rel"),
+    "e01_staggered_n5": Case(staggered_config(n_sessions=5, duration=0.3),
+                             "greedy_rate_rel"),
+    "e02_onoff_seed7": Case(onoff_config(duration=0.5), "bursty_rate_rel",
+                            seed=7),
+    "e05_parking_3hop": Case(parking_config(hops=3), "greedy_rate_rel",
+                             utilization_sessions=("long", "cross0")),
+    "transient": Case(transient_config(), "greedy_rate_rel"),
+    "rm_loss_0.01": Case(dict(staggered_config(duration=0.4),
+                              rm_loss=0.01), "loss_rate_rel"),
+}
 
 
-def compare_transient(duration: float = 0.4) -> list[dict[str, Any]]:
-    """Join/leave transient: the survivor must reclaim the single-session
-    share in both models."""
-    p = packet.transient(PhantomAlgorithm, duration=duration)
-    f = fluid.transient(duration=duration)
-    rows = []
-    # steady window covers the post-departure reclaim only; the visitor
-    # is silent there, so compare the base session's reclaimed rate
-    rows.append(_row("transient", "rate.base",
-                     p.steady_rates()["base"],
-                     f.steady_rates()["base"], "greedy_rate_rel"))
-    rows.append(_row("transient", "queue.max",
-                     p.queue_stats()["max"],
-                     f.queue_stats()["max"], "queue_abs_cells"))
-    return rows
-
-
-def compare_rm_loss(loss: float = 0.01,
-                    duration: float = 0.4) -> list[dict[str, Any]]:
-    """RM loss: both control loops must hold the same fixed point.
-
-    Packet side: each session's backward access link is replaced with a
-    lossy :class:`repro.atm.Link` (rewiring the switch's per-VC
-    dispatch cache alongside the route table, as the loss-injection
-    tests do).  Fluid side: the same loss fraction thins the per-Δt RM
-    mass, which stretches time constants but leaves the fixed point —
-    the property under test.
-    """
-    p = packet.staggered_start(PhantomAlgorithm, n_sessions=2,
-                               duration=duration, run=False)
-    net = p.net
-    switch = net.switches["S1"]
-    lossy_links = []
-    for vc, session in sorted(net.sessions.items()):
-        lossy = Link(net.sim, 150.0, 1e-5, session.source,
-                     loss_rate=loss, rng=net.rng.stream(f"rmloss.{vc}"))
-        switch._backward[session.vc] = lossy
-        switch._backward_recv[session.vc] = lossy.receive
-        lossy_links.append(lossy)
-    net.run(until=duration)
-    if not any(link.lost for link in lossy_links):
-        raise RuntimeError("loss injection inactive: no cell was lost")
-    f = fluid.staggered_start(n_sessions=2, duration=duration,
-                              rm_loss=loss)
-    return _common_rows(f"rm_loss_{loss:g}", p, f, "loss_rate_rel")
+def compare(name: str) -> list[dict[str, Any]]:
+    """Render the case ``name`` on both tiers; one row per metric."""
+    case = CASES[name]
+    packet = build_atm(case.config, algorithm_factory=PhantomAlgorithm,
+                       seed=case.seed)
+    fluid = build_fluid(case.config, seed=case.seed)
+    return _common_rows(name, packet, fluid, case.rate_band,
+                        case.utilization_sessions)
 
 
 def validation_rows() -> list[dict[str, Any]]:
-    """Run every packet-vs-fluid pair; one row per compared metric."""
-    rows: list[dict[str, Any]] = []
-    rows.extend(compare_staggered(n_sessions=2))
-    rows.extend(compare_staggered(n_sessions=5, duration=0.3))
-    rows.extend(compare_onoff())
-    rows.extend(compare_parking())
-    rows.extend(compare_transient())
-    rows.extend(compare_rm_loss())
-    return rows
+    """Every row of the validation table."""
+    return [row for name in CASES for row in compare(name)]
 
 
 def failures(rows: list[dict[str, Any]]) -> list[str]:
@@ -215,6 +176,5 @@ def failures(rows: list[dict[str, Any]]) -> list[str]:
     ]
 
 
-__all__ = ["TOLERANCES", "validation_rows", "failures",
-           "compare_staggered", "compare_onoff", "compare_parking",
-           "compare_transient", "compare_rm_loss"]
+__all__ = ["CASES", "Case", "TOLERANCES", "compare", "failures",
+           "validation_rows"]

@@ -21,9 +21,9 @@ The oracle properties only apply to configs
 :mod:`repro.obs.health`'s own gate table (paper-filter phantom, factor
 and settled-horizon limits, RM loss, the grant floor) plus the few that
 only a config can fail: access-limited trunks, long feedback delays,
-on/off demand and cross-traffic.  Eligible configs are judged against
-:func:`repro.fuzz.oracle.oracle_for_config`, the same solve path health
-applies to a built network.
+on/off demand, departures and cross-traffic.  Eligible configs are
+judged against :func:`repro.fuzz.oracle.oracle_for_config`, the same
+solve path health applies to a built network.
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ def oracle_eligibility(config: Mapping[str, Any]) -> str | None:
         if session.get("onoff"):
             return (f"session {session['vc']!r} has bursty on/off "
                     f"demand")
+        if session.get("stop") is not None:
+            return f"session {session['vc']!r} leaves mid-run"
         if float(session.get("access_delay", 0.0)) > _MAX_ACCESS_DELAY:
             return (f"session {session['vc']!r} feedback delay exceeds "
                     f"{_MAX_ACCESS_DELAY:g}s")

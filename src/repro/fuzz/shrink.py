@@ -103,7 +103,7 @@ def _candidates(config: Mapping[str, Any]
 
     for i, session in enumerate(sessions):
         vc = session["vc"]
-        for key in ("onoff", "params", "start", "access_delay"):
+        for key in ("onoff", "params", "start", "stop", "access_delay"):
             if key in session:
                 simplified = sessions.copy()
                 simplified[i] = _without(session, key)

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core import PhantomAlgorithm
-from repro.scenarios import (drop_tail_policy, many_flows, on_off,
-                             staggered_start)
+from repro.scenarios.atm import onoff_config, staggered_config
+from repro.scenarios.generic import build_atm
+from repro.scenarios.tcp import drop_tail_policy, many_flows
 
 #: Smallest scale at which every workload is still well-formed (E01's
 #: session stagger must fall inside the simulated horizon).
@@ -60,15 +61,14 @@ def _check_scale(scale: float) -> float:
 
 
 def _run_e01(scale: float, tracer=None):
-    return staggered_start(PhantomAlgorithm, n_sessions=2, stagger=0.03,
-                           duration=0.25 * _check_scale(scale),
-                           tracer=tracer)
+    return build_atm(staggered_config(duration=0.25 * _check_scale(scale)),
+                     algorithm_factory=PhantomAlgorithm, tracer=tracer)
 
 
 def _run_e02(scale: float, tracer=None):
-    return on_off(PhantomAlgorithm, greedy=1, bursty=2, on_time=0.02,
-                  off_time=0.02, seed=7,
-                  duration=0.4 * _check_scale(scale), tracer=tracer)
+    return build_atm(onoff_config(duration=0.4 * _check_scale(scale)),
+                     algorithm_factory=PhantomAlgorithm, seed=7,
+                     tracer=tracer)
 
 
 def _run_e11(scale: float, tracer=None):

@@ -1,37 +1,59 @@
-"""Declarative builders for every configuration in the paper's evaluation."""
+"""The paper's evaluation configurations.
 
-from repro.scenarios.atm import (on_off, parking_lot, rtt_spread,
-                                 staggered_start, transient)
-from repro.scenarios.results import AtmRun, TcpRun
-from repro.scenarios.tcp import (TCP_PHANTOM_PARAMS, TCP_RENO_PARAMS,
-                                 drop_tail_policy, many_flows, mixed_stacks,
-                                 rtt_fairness, selective_discard_policy,
-                                 selective_efci_policy,
-                                 selective_quench_policy,
-                                 selective_red_policy, tcp_parking_lot,
-                                 two_way, vegas_thresholds)
-from repro.scenarios.workloads import OnOffDriver
+:mod:`repro.scenarios.atm` describes the ATM configurations as configs
+that :func:`repro.scenarios.generic.build_atm` renders cell by cell;
+:mod:`repro.scenarios.tcp` builds the TCP configurations.
+"""
 
-__all__ = [
-    "on_off",
-    "parking_lot",
-    "rtt_spread",
-    "staggered_start",
-    "transient",
-    "AtmRun",
-    "TcpRun",
-    "TCP_PHANTOM_PARAMS",
-    "TCP_RENO_PARAMS",
-    "drop_tail_policy",
-    "many_flows",
-    "rtt_fairness",
-    "selective_discard_policy",
-    "selective_efci_policy",
-    "selective_quench_policy",
-    "selective_red_policy",
-    "tcp_parking_lot",
-    "mixed_stacks",
-    "two_way",
-    "vegas_thresholds",
-    "OnOffDriver",
-]
+import importlib
+from typing import TYPE_CHECKING
+
+# Exports resolve on first use (PEP 562), so reading a config from
+# repro.scenarios.atm loads no simulator; see repro/__init__.py.
+if TYPE_CHECKING:
+    from repro.scenarios.atm import (background_config, onoff_config,
+                                     parking_config, rtt_config,
+                                     staggered_config, transient_config,
+                                     weighted_config)
+    from repro.scenarios.generic import build_atm
+    from repro.scenarios.results import AtmRun, TcpRun
+    from repro.scenarios.tcp import (TCP_PHANTOM_PARAMS, TCP_RENO_PARAMS,
+                                     drop_tail_policy, many_flows,
+                                     mixed_stacks, rtt_fairness,
+                                     selective_discard_policy,
+                                     selective_efci_policy,
+                                     selective_quench_policy,
+                                     selective_red_policy,
+                                     tcp_parking_lot, two_way,
+                                     vegas_thresholds)
+    from repro.scenarios.workloads import OnOffDriver
+
+#: Public name -> the module it is imported from on first use.
+_EXPORTS = {name: module for module, names in {
+    "repro.scenarios.atm": ("background_config", "onoff_config",
+                            "parking_config", "rtt_config",
+                            "staggered_config", "transient_config",
+                            "weighted_config"),
+    "repro.scenarios.generic": ("build_atm",),
+    "repro.scenarios.results": ("AtmRun", "TcpRun"),
+    "repro.scenarios.tcp": ("TCP_PHANTOM_PARAMS", "TCP_RENO_PARAMS",
+                            "drop_tail_policy", "many_flows",
+                            "mixed_stacks", "rtt_fairness",
+                            "selective_discard_policy",
+                            "selective_efci_policy",
+                            "selective_quench_policy",
+                            "selective_red_policy", "tcp_parking_lot",
+                            "two_way", "vegas_thresholds"),
+    "repro.scenarios.workloads": ("OnOffDriver",),
+}.items() for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

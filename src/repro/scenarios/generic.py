@@ -1,18 +1,20 @@
 """Generic, config-driven ATM scenario construction.
 
-The hand-written builders in :mod:`repro.scenarios.atm` each hard-code
-one of the paper's configurations.  :func:`build_atm` instead reads a
-fully self-describing **scenario config** — a plain JSON-able mapping —
-and assembles any single-path topology the packet substrate supports:
-chains, parking lots, and asymmetric meshes with per-trunk rates and
-delays, greedy and on/off ABR sessions, CBR/VBR background streams, and
-RM-cell loss on the backward access links.
+:func:`build_atm` reads a fully self-describing **scenario config** — a
+plain JSON-able mapping — and assembles any single-path topology the
+packet substrate supports: chains, parking lots, and asymmetric meshes
+with per-trunk rates and delays, greedy, on/off and joining/leaving ABR
+sessions, CBR/VBR background streams, and RM-cell loss on the backward
+access links.
 
-This is the resolution target for :class:`repro.exec.spec.TaskSpec`'s
-inline ``config`` field: the fuzzer (:mod:`repro.fuzz`) emits configs,
-the registry entry ``fuzz.generic`` calls :func:`build_atm` inside the
-worker, and the config's canonical JSON is part of the task fingerprint,
-so generated runs cache exactly like hand-written ones.
+The paper's configurations are such configs
+(:mod:`repro.scenarios.atm`), and so is every scenario the fuzzer
+(:mod:`repro.fuzz`) emits: the registry's ATM entries and
+``fuzz.generic`` all call :func:`build_atm` inside the worker.  An
+inline config's canonical JSON is part of the task fingerprint, so
+generated runs cache exactly like registered ones.
+:func:`repro.fluid.scenarios.build_fluid` renders the same configs on
+the fluid tier.
 
 Config schema (all keys except ``switches``/``trunks``/``sessions``
 optional)::
@@ -20,8 +22,10 @@ optional)::
     {"switches": ["S1", "S2"],
      "trunks": [{"a": "S1", "b": "S2", "rate": 150.0, "delay": 1e-5}],
      "sessions": [{"vc": "s0", "route": ["S1", "S2"], "start": 0.0,
-                   "access_delay": 1e-5, "params": {"weight": 2.0},
-                   "onoff": {"on": 0.02, "off": 0.02}}],
+                   "stop": 0.3, "access_delay": 1e-5,
+                   "params": {"weight": 2.0},
+                   "onoff": {"on": 0.02, "off": 0.02,
+                             "stream": "onoff.s0"}}],
      "cbr": [{"vc": "bg0", "route": ["S1", "S2"], "rate": 40.0,
               "start": 0.0, "stop": 0.2}],
      "vbr": [{"vc": "vb0", "route": ["S1", "S2"], "peak": 40.0,
@@ -29,6 +33,11 @@ optional)::
      "algorithm": "phantom", "algorithm_params": {"interval": 1e-3},
      "link_rate": 150.0, "rm_loss": 0.0, "duration": 0.25,
      "bottleneck": ["S1", "S2"]}
+
+A session's ``stop`` silences its source at that time (default: never);
+it cannot be combined with ``onoff``, whose driver would wake the
+source again.  An on/off session's ``stream`` names the random stream
+its phases are drawn from (default ``onoff.<vc>``).
 
 Randomness (on/off periods, VBR state durations, RM-loss coin flips) is
 drawn exclusively from per-name :class:`repro.sim.rng.RngStreams`
@@ -79,6 +88,9 @@ def validate_config(config: Mapping[str, Any]) -> list[str]:
             continue
         if not session.get("vc"):
             problems.append(f"sessions[{i}] needs a 'vc' name")
+        if session.get("onoff") and session.get("stop") is not None:
+            problems.append(
+                f"sessions[{i}] cannot combine 'onoff' with 'stop'")
         route = session.get("route")
         if not isinstance(route, (list, tuple)) or len(route) < 2:
             problems.append(
@@ -127,8 +139,7 @@ def _inject_rm_loss(net: AtmNetwork, rm_loss: float,
 
     The twin keeps the replaced link's rate and propagation delay, so a
     session's drawn access delay still applies to its feedback leg.
-    Same rewiring the RM-loss tests and ``repro.fluid.validate`` use:
-    the switch's per-VC dispatch cache must move with the route table or
+    The switch's per-VC dispatch cache must move with the route table or
     the lossless original keeps receiving the cells.
     """
     for vc, session in net.sessions.items():
@@ -185,7 +196,10 @@ def build_atm(config: Mapping[str, Any], *, algorithm_factory,
             OnOffDriver(
                 net.sim, session.source,
                 on_time=float(onoff["on"]), off_time=float(onoff["off"]),
-                rng=streams.stream(f"onoff.{vc}"))
+                rng=streams.stream(onoff.get("stream", f"onoff.{vc}")))
+        if entry.get("stop") is not None:
+            net.sim.schedule_at(float(entry["stop"]),
+                                session.source.set_active, False)
     for entry in config.get("cbr") or []:
         net.add_cbr(entry["vc"], route=list(entry["route"]),
                     rate_mbps=float(entry["rate"]),

@@ -17,14 +17,12 @@ from repro.sim import Simulator
 class OnOffDriver:
     """Toggle a source between active and idle.
 
-    Periods are fixed (``on_time`` / ``off_time``) unless an ``rng`` is
-    supplied, in which case each period is drawn from an exponential
-    distribution with the given means — the usual bursty-traffic model.
+    Each period is drawn from ``rng`` as an exponential with mean
+    ``on_time`` or ``off_time`` — the usual bursty-traffic model.
     """
 
     def __init__(self, sim: Simulator, source: AbrSource,
-                 on_time: float, off_time: float,
-                 rng: random.Random | None = None,
+                 on_time: float, off_time: float, rng: random.Random,
                  start_active: bool = True):
         if on_time <= 0 or off_time <= 0:
             raise ValueError("on_time and off_time must be positive")
@@ -40,8 +38,6 @@ class OnOffDriver:
 
     def _duration(self) -> float:
         mean = self.on_time if self._active else self.off_time
-        if self.rng is None:
-            return mean
         return self.rng.expovariate(1.0 / mean)
 
     def _toggle(self) -> None:

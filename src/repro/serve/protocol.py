@@ -219,7 +219,8 @@ def parse_submission(data: Any,
         raise ProtocolError(400, "'params' must be a JSON object")
     try:
         check_jsonable(params, "params")
-    except TypeError as exc:
+        scenarios[scenario].check_params(params)
+    except (TypeError, ValueError) as exc:
         raise ProtocolError(400, str(exc)) from exc
     seed = data.get("seed")
     if seed is not None and not isinstance(seed, int):

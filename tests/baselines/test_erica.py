@@ -102,8 +102,9 @@ def test_erica_network_reaches_equal_target_shares():
 
 
 def test_erica_parking_lot_max_min():
-    from repro.scenarios import parking_lot
-    run = parking_lot(EricaAlgorithm, hops=3, duration=0.3)
+    from repro.scenarios import build_atm, parking_config
+    run = build_atm(parking_config(hops=3, duration=0.3),
+                    algorithm_factory=EricaAlgorithm)
     rates = run.steady_rates()
     # classic max-min at 90% target: everyone ~0.9*150/2 at the first trunk
     assert rates["long"] == pytest.approx(rates["cross0"], rel=0.15)

@@ -108,6 +108,23 @@ def test_sweep_cli(tmp_path, capsys):
     assert "utilization" in printed and "jain" in printed
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--set", "tracer=1", "--param", "duration=0.05"],
+     "atm.staggered takes no tracer; its keys: algorithm, "),
+    (["--param", "bogus=1,2"], "atm.staggered takes no bogus; its keys: "),
+    (["--param", "algorithm=phantom,bogus"],
+     "unknown algorithm 'bogus'; known: aprc, capc, eprca, erica, phantom, phantom-binary"),
+])
+def test_sweep_checks_every_spec_before_running(args, message, tmp_path,
+                                                capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scenario", "atm.staggered", *args,
+              "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []   # no cache, no task ran
+
+
 def test_sweep_rejects_malformed_axes(tmp_path):
     with pytest.raises(SystemExit):
         main(["sweep", "--scenario", "atm.staggered",

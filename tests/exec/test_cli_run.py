@@ -90,6 +90,7 @@ KEYS = "its keys: algorithm, algorithm_params, duration"
     ("tracer=1", "atm.staggered takes no tracer; " + KEYS),
     ("seed=3", "atm.staggered takes no seed; " + KEYS),
     ("duration", "bad --set 'duration'; expected KEY=VALUE"),
+    ("algorithm=bogus", "unknown algorithm 'bogus'; known: aprc, capc, eprca, erica, phantom, phantom-binary"),
 ])
 def test_bad_names_and_keys_are_usage_errors(setting, message, capsys):
     argv = (["run", "atm.bogus"] if setting is None
@@ -97,4 +98,14 @@ def test_bad_names_and_keys_are_usage_errors(setting, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_unknown_policy_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "tcp.many", "--set", "policy=bogus"])
+    assert exc.value.code == 2
+    assert "unknown policy 'bogus'; known: drop-tail, efci, quench, " \
+        in capsys.readouterr().err

@@ -152,6 +152,7 @@ def test_scenario_edit_invalidates_only_that_kind(copied_tree):
     after = _fingerprints(copied_tree)
     assert after["atm"] != before["atm"]
     assert after["capc"] != before["capc"]  # capc task builds on atm too
+    assert after["fluid"] != before["fluid"]  # fluid renders the configs
     assert after["tcp"] == before["tcp"]    # TCP entries untouched
 
 
@@ -233,12 +234,18 @@ def test_config_algorithm_choice_scopes_the_closure(copied_tree):
                             index=index) == before_phantom
 
 
-def test_generic_builder_edit_spares_named_scenarios(copied_tree):
-    index = SourceIndex(root=copied_tree)
-    before_fuzz = task_fingerprint(_fuzz_spec(), index=index)
-    before_atm = task_fingerprint(ATM, index=index)
+def test_generic_renderer_edit_invalidates_every_packet_atm_task(
+        copied_tree):
+    # generated configs and the paper's configurations render through
+    # build_atm alike; the fluid renderer and the TCP builders do not
+    before = _fingerprints(copied_tree)
+    before_fuzz = task_fingerprint(_fuzz_spec(),
+                                   index=SourceIndex(root=copied_tree))
     with (copied_tree / "scenarios" / "generic.py").open("a") as fh:
         fh.write("\n# touched by the fuzz invalidation test\n")
-    index = SourceIndex(root=copied_tree)
-    assert task_fingerprint(_fuzz_spec(), index=index) != before_fuzz
-    assert task_fingerprint(ATM, index=index) == before_atm
+    after = _fingerprints(copied_tree)
+    assert task_fingerprint(_fuzz_spec(), index=SourceIndex(
+        root=copied_tree)) != before_fuzz
+    assert after["atm"] != before["atm"]
+    assert after["fluid"] == before["fluid"]
+    assert after["tcp"] == before["tcp"]

@@ -20,34 +20,36 @@ from pathlib import Path
 
 import pytest
 
-from repro.fluid import scenarios
 from repro.fluid.hybrid import hybrid_staggered
+from repro.fluid.scenarios import build_fluid, many_flows
 from repro.perf import golden
+from repro.scenarios.atm import (onoff_config, parking_config,
+                                 staggered_config)
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / \
     "fluid_golden.json"
 
 
 def _staggered():
-    return scenarios.staggered_start(n_sessions=3, duration=0.2)
+    return build_fluid(staggered_config(n_sessions=3, duration=0.2))
 
 
 def _onoff():
-    return scenarios.on_off(duration=0.3, seed=11)
+    return build_fluid(onoff_config(duration=0.3), seed=11)
 
 
 def _parking():
-    return scenarios.parking_lot(hops=3, duration=0.2)
+    return build_fluid(parking_config(hops=3, duration=0.2))
 
 
 def _rm_loss():
-    return scenarios.staggered_start(n_sessions=2, duration=0.2,
-                                     rm_loss=0.3)
+    return build_fluid(dict(staggered_config(n_sessions=2, duration=0.2),
+                            rm_loss=0.3))
 
 
 def _many_small():
-    return scenarios.many_flows(cohorts=10, flows_per_cohort=100,
-                                greedy=5, duration=0.2)
+    return many_flows(cohorts=10, flows_per_cohort=100, greedy=5,
+                      duration=0.2)
 
 
 def _hybrid():
@@ -97,8 +99,8 @@ def test_tracing_changes_no_fluid_outcome():
     from repro.obs import Tracer
 
     tracer = Tracer()
-    run = scenarios.staggered_start(n_sessions=3, duration=0.2,
-                                    tracer=tracer)
+    run = build_fluid(staggered_config(n_sessions=3, duration=0.2),
+                      tracer=tracer)
     assert len(tracer.events) > 0
     traced = golden.trace_from_run("staggered", 1.0, run)
     assert golden.compare_traces(_fixture()["staggered"], traced) == []

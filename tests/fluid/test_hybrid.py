@@ -8,16 +8,18 @@ from repro.fluid.hybrid import (HybridCoupling, hybrid_staggered,
                                 packet_twin)
 from repro.fluid.model import FluidNetwork
 from repro.perf.golden import probe_digest, run_parts
+from repro.scenarios.atm import staggered_config
+from repro.scenarios.generic import build_atm
+
+ONE_SESSION = staggered_config(n_sessions=1, duration=0.05)
 
 
 # ----------------------------------------------------------------------
 # coupling contract
 # ----------------------------------------------------------------------
 def test_couple_rejects_algorithms_without_demand_hook():
-    from repro.scenarios import atm as packet
-
-    atm_run = packet.staggered_start(EricaAlgorithm, n_sessions=1,
-                                     duration=0.05, run=False)
+    atm_run = build_atm(ONE_SESSION, algorithm_factory=EricaAlgorithm,
+                        run=False)
     fluid_net = FluidNetwork()
     trunk = fluid_net.add_trunk("T")
     coupling = HybridCoupling(atm_run.net, fluid_net)
@@ -28,10 +30,9 @@ def test_couple_rejects_algorithms_without_demand_hook():
 def test_start_rejects_interval_mismatch():
     from repro.core import PhantomAlgorithm
     from repro.core.params import PhantomParams
-    from repro.scenarios import atm as packet
 
-    atm_run = packet.staggered_start(PhantomAlgorithm, n_sessions=1,
-                                     duration=0.05, run=False)
+    atm_run = build_atm(ONE_SESSION, algorithm_factory=PhantomAlgorithm,
+                        run=False)
     fluid_net = FluidNetwork(phantom=PhantomParams(interval=2e-3))
     trunk = fluid_net.add_trunk("T")
     coupling = HybridCoupling(atm_run.net, fluid_net)

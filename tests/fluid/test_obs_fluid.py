@@ -1,8 +1,12 @@
 """Fluid tier through the observability surface (manifest + trace)."""
 
-from repro.fluid import scenarios
 from repro.fluid.hybrid import hybrid_staggered
+from repro.fluid.scenarios import build_fluid
 from repro.obs import Tracer, registry_from_run
+from repro.scenarios.atm import staggered_config
+
+#: Two greedy sessions over 50 control intervals.
+SHORT = staggered_config(n_sessions=2, duration=0.05)
 
 
 def test_fluid_category_is_registered():
@@ -15,8 +19,7 @@ def test_fluid_category_is_registered():
 
 def test_fluid_trace_events_are_emitted_and_gated():
     tracer = Tracer(categories={"fluid"})
-    run = scenarios.staggered_start(n_sessions=2, duration=0.05,
-                                    tracer=tracer)
+    run = build_fluid(SHORT, tracer=tracer)
     assert run.net.steps == 50
     kinds = {kind for _, kind, _, _ in tracer.events}
     assert kinds == {"fluid.step"}
@@ -25,14 +28,13 @@ def test_fluid_trace_events_are_emitted_and_gated():
     assert {"macr", "queue", "offered", "grant"} <= set(fields)
 
     gated_off = Tracer(categories={"port"})
-    run2 = scenarios.staggered_start(n_sessions=2, duration=0.05,
-                                     tracer=gated_off)
+    run2 = build_fluid(SHORT, tracer=gated_off)
     assert gated_off.events == []
     assert run2.net.steps == 50
 
 
 def test_registry_from_fluid_run():
-    run = scenarios.staggered_start(n_sessions=2, duration=0.05)
+    run = build_fluid(SHORT)
     summary = registry_from_run(run).summary()
     assert summary["repro_fluid_steps_total"] == 50
     assert summary["repro_fluid_time_seconds"] == run.net.now
@@ -58,7 +60,7 @@ def test_registry_from_hybrid_run_has_both_sides():
 
 
 def test_fluid_prometheus_export_is_well_formed():
-    run = scenarios.staggered_start(n_sessions=2, duration=0.05)
+    run = build_fluid(SHORT)
     text = registry_from_run(run).prometheus_text()
     assert "# TYPE repro_fluid_steps_total counter" in text
     assert 'repro_fluid_macr_mbps{trunk="S1->S2"}' in text

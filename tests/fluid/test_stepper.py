@@ -5,8 +5,11 @@ import pytest
 from repro.core import phantom_equilibrium_rate
 from repro.fluid import (CELL_BITS, FluidNetwork, cells_to_mbps,
                          rate_cells_per_interval)
-from repro.fluid import scenarios
+from repro.fluid.scenarios import build_fluid, many_flows
 from repro.perf.golden import probe_digest
+from repro.scenarios.atm import (background_config, onoff_config,
+                                 parking_config, staggered_config,
+                                 transient_config)
 
 
 # ----------------------------------------------------------------------
@@ -29,7 +32,7 @@ def test_one_cell_per_interval_is_the_cell_rate():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_staggered_converges_to_phantom_equilibrium(n):
-    run = scenarios.staggered_start(n_sessions=n, duration=0.3)
+    run = build_fluid(staggered_config(n_sessions=n, duration=0.3))
     expected = phantom_equilibrium_rate(150.0, n, 5.0)
     for rate in run.steady_rates().values():
         assert rate == pytest.approx(expected, rel=0.02)
@@ -76,7 +79,7 @@ def test_grant_is_min_over_route():
 
 
 def test_transient_reclaims_single_session_share():
-    run = scenarios.transient(duration=0.4)
+    run = build_fluid(transient_config(duration=0.4))
     expected = phantom_equilibrium_rate(150.0, 1, 5.0)  # 125 Mb/s
     assert run.steady_rates()["base"] == pytest.approx(expected,
                                                        rel=0.02)
@@ -85,17 +88,17 @@ def test_transient_reclaims_single_session_share():
 def test_rm_loss_preserves_the_fixed_point():
     """Thinned feedback stretches time constants but moves no fixed
     point: the lossy run must land on the lossless rates."""
-    clean = scenarios.staggered_start(n_sessions=2, duration=0.4)
-    lossy = scenarios.staggered_start(n_sessions=2, duration=0.4,
-                                      rm_loss=0.3)
+    config = staggered_config(n_sessions=2, duration=0.4)
+    clean = build_fluid(config)
+    lossy = build_fluid(dict(config, rm_loss=0.3))
     for name, rate in clean.steady_rates().items():
         assert lossy.steady_rates()[name] == pytest.approx(rate,
                                                            rel=0.05)
 
 
 def test_binary_mode_is_fair_and_bounded():
-    run = scenarios.staggered_start(n_sessions=2, duration=0.4,
-                                    mode="binary")
+    run = build_fluid(staggered_config(n_sessions=2, duration=0.4),
+                      mode="binary")
     rates = run.steady_rates()
     assert run.jain() == pytest.approx(1.0, abs=0.05)
     assert 0.4 < run.utilization() <= 1.05
@@ -142,10 +145,10 @@ def test_distinct_dynamics_split_groups():
 
 
 def test_flow_count_does_not_change_step_count():
-    small = scenarios.many_flows(cohorts=2, flows_per_cohort=10,
-                                 greedy=2, duration=0.1)
-    large = scenarios.many_flows(cohorts=2, flows_per_cohort=100000,
-                                 greedy=2, duration=0.1)
+    small = many_flows(cohorts=2, flows_per_cohort=10, greedy=2,
+                       duration=0.1)
+    large = many_flows(cohorts=2, flows_per_cohort=100000, greedy=2,
+                       duration=0.1)
     assert small.net.steps == large.net.steps
     assert len(small.net.groups) == len(large.net.groups)
 
@@ -154,7 +157,7 @@ def test_flow_count_does_not_change_step_count():
 # determinism
 # ----------------------------------------------------------------------
 def _onoff_digests(seed):
-    run = scenarios.on_off(duration=0.3, seed=seed)
+    run = build_fluid(onoff_config(duration=0.3), seed=seed)
     return {c.name: probe_digest(c.rate_probe)
             for c in run.net.cohorts} | {
                 "queue": probe_digest(run.queue_probe),
@@ -192,3 +195,30 @@ def test_idle_reset_restarts_from_icr():
     net2.run(until=0.1 + 0.2 * c2.params.idle_reset)
     c2.set_active(True)
     assert c2.acr == pytest.approx(ramped2)
+
+
+# ----------------------------------------------------------------------
+# rendering scenario configs
+# ----------------------------------------------------------------------
+def test_build_fluid_names_trunks_and_cohorts_like_the_packet_tier():
+    run = build_fluid(parking_config(hops=3, duration=0.02))
+    assert list(run.net.trunks) == ["S1->S2", "S2->S3", "S3->S4"]
+    assert [c.name for c in run.net.cohorts] == [
+        "long", "cross0", "cross1", "cross2"]
+    assert run.bottleneck is run.net.trunks["S1->S2"]
+
+
+def test_build_fluid_follows_reverse_routes_and_a_named_bottleneck():
+    run = build_fluid({
+        "switches": ["A", "B"],
+        "trunks": [{"a": "A", "b": "B", "rate": 100.0}],
+        "sessions": [{"vc": "f", "route": ["A", "B"]},
+                     {"vc": "r", "route": ["B", "A"]}],
+        "bottleneck": ["B", "A"], "duration": 0.02})
+    assert run.net.capacities() == {"A->B": 100.0, "B->A": 100.0}
+    assert run.bottleneck is run.net.trunks["B->A"]
+
+
+def test_build_fluid_refuses_background_traffic():
+    with pytest.raises(ValueError, match="'cbr'"):
+        build_fluid(background_config())

@@ -1,10 +1,10 @@
 """Packet-vs-fluid validation: the committed tolerance contract.
 
-Each test runs one packet/fluid pair at the configuration the
-tolerances in :mod:`repro.fluid.validate` were measured at and asserts
-every compared metric stays inside its band (the table is committed in
-docs/FLUID.md).  Split per scenario so a drift names the configuration
-that moved.
+Each test renders one row of :data:`repro.fluid.validate.CASES` on
+both tiers, at the configuration the tolerances were measured at, and
+asserts every compared metric stays inside its band (the table is
+committed in docs/FLUID.md).  Split per row so a drift names the
+configuration that moved.
 """
 
 from __future__ import annotations
@@ -20,34 +20,33 @@ def _assert_rows_ok(rows):
 
 
 def test_e01_two_sessions_within_tolerance():
-    _assert_rows_ok(validate.compare_staggered(n_sessions=2))
+    _assert_rows_ok(validate.compare("e01_staggered_n2"))
 
 
 def test_e01_five_sessions_within_tolerance():
-    _assert_rows_ok(validate.compare_staggered(n_sessions=5,
-                                               duration=0.3))
+    _assert_rows_ok(validate.compare("e01_staggered_n5"))
 
 
 def test_e02_onoff_within_tolerance():
-    _assert_rows_ok(validate.compare_onoff())
+    _assert_rows_ok(validate.compare("e02_onoff_seed7"))
 
 
 def test_e05_parking_within_tolerance():
-    _assert_rows_ok(validate.compare_parking())
+    _assert_rows_ok(validate.compare("e05_parking_3hop"))
 
 
 def test_transient_within_tolerance():
-    _assert_rows_ok(validate.compare_transient())
+    _assert_rows_ok(validate.compare("transient"))
 
 
 def test_rm_loss_within_tolerance():
-    """Includes live loss injection on the packet side — the helper
-    raises if no cell is actually lost."""
-    _assert_rows_ok(validate.compare_rm_loss())
+    """Includes live loss injection on the packet side (proven to drop
+    cells by tests/scenarios/test_generic.py)."""
+    _assert_rows_ok(validate.compare("rm_loss_0.01"))
 
 
 def test_rows_carry_the_committed_tolerances():
-    rows = validate.compare_staggered(n_sessions=2)
+    rows = validate.compare("e01_staggered_n2")
     for row in rows:
         assert row["tolerance"] == \
             validate.TOLERANCES[row["tolerance_key"]]
@@ -67,11 +66,12 @@ def test_failures_format_names_the_offender():
 def test_diverging_session_names_are_an_error():
     """Guards the name-for-name pairing the whole suite rests on."""
     from repro.core import PhantomAlgorithm
-    from repro.fluid import scenarios as fluid
-    from repro.scenarios import atm as packet
+    from repro.fluid.scenarios import build_fluid
+    from repro.scenarios.atm import staggered_config
+    from repro.scenarios.generic import build_atm
 
-    p = packet.staggered_start(PhantomAlgorithm, n_sessions=2,
-                               duration=0.05)
-    f = fluid.staggered_start(n_sessions=3, duration=0.05)
+    p = build_atm(staggered_config(n_sessions=2, duration=0.05),
+                  algorithm_factory=PhantomAlgorithm)
+    f = build_fluid(staggered_config(n_sessions=3, duration=0.05))
     with pytest.raises(ValueError, match="diverge"):
         validate._common_rows("mismatch", p, f, "greedy_rate_rel")

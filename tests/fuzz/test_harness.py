@@ -60,6 +60,18 @@ def test_gate_reasons(overrides, needle):
     assert reason is not None and needle in reason
 
 
+def test_paper_configs_are_judged_where_the_oracle_applies():
+    from repro.scenarios.atm import (background_config, onoff_config,
+                                     parking_config, staggered_config,
+                                     transient_config)
+
+    assert oracle_eligibility(staggered_config()) is None
+    assert oracle_eligibility(parking_config()) is None
+    assert "leaves mid-run" in oracle_eligibility(transient_config())
+    assert "on/off" in oracle_eligibility(onoff_config())
+    assert "cross-traffic" in oracle_eligibility(background_config())
+
+
 @pytest.mark.parametrize("knobs", [
     {"use_deviation": True},
     {"use_deviation": False},

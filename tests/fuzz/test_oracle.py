@@ -10,8 +10,8 @@ from repro.core.fairness import max_min_allocation
 from repro.fuzz.gen import generate_batch
 from repro.fuzz.oracle import oracle_for_config, topology_of
 from repro.obs.health import oracle_allocation
-from repro.scenarios import (on_off, parking_lot, rtt_spread,
-                             staggered_start, transient)
+from repro.scenarios.atm import (onoff_config, parking_config, rtt_config,
+                                 staggered_config, transient_config)
 from repro.scenarios.generic import build_atm
 
 from tests.fuzz.fahmy import fair_share
@@ -123,12 +123,18 @@ def test_agrees_with_water_filling_on_generated_topologies():
     assert checked == 30
 
 
-@pytest.mark.parametrize("builder", [staggered_start, rtt_spread,
-                                     parking_lot, transient, on_off])
+#: The paper's configurations, under their descriptive names.
+CURATED = {"staggered_start": staggered_config, "rtt_spread": rtt_config,
+           "parking_lot": parking_config, "transient": transient_config,
+           "on_off": onoff_config}
+
+
+@pytest.mark.parametrize("builder", sorted(CURATED))
 def test_agrees_with_the_health_oracle_on_curated_builders(builder):
     # feed the built network's exporters into the Fahmy reference: it
     # must assign the shares the health report's oracle does
-    run = builder(PhantomAlgorithm, run=False)
+    run = build_atm(CURATED[builder](), algorithm_factory=PhantomAlgorithm,
+                    run=False)
     net = run.net
     routes = {vc: path for vc, path in net.routes().items() if path}
     weights = {}

@@ -10,7 +10,8 @@ import pytest
 from repro.atm import Cell, OutputPort
 from repro.core import PhantomAlgorithm
 from repro.obs import Tracer
-from repro.scenarios import drop_tail_policy, many_flows, staggered_start
+from repro.scenarios import (build_atm, drop_tail_policy, many_flows,
+                             staggered_config)
 from repro.sim import Simulator
 
 from tests.atm.test_link import Collector
@@ -19,8 +20,8 @@ from tests.atm.test_link import Collector
 @pytest.fixture(scope="module")
 def atm_trace():
     tracer = Tracer()
-    staggered_start(PhantomAlgorithm, n_sessions=2, duration=0.1,
-                    tracer=tracer)
+    build_atm(staggered_config(n_sessions=2, duration=0.1),
+              algorithm_factory=PhantomAlgorithm, tracer=tracer)
     return tracer
 
 
@@ -78,8 +79,8 @@ def test_router_drops_name_flow_and_policy(tcp_trace):
 
 def test_category_filter_drops_other_emitters():
     tracer = Tracer(categories=["macr"])
-    staggered_start(PhantomAlgorithm, n_sessions=2, duration=0.05,
-                    tracer=tracer)
+    build_atm(staggered_config(n_sessions=2, duration=0.05),
+              algorithm_factory=PhantomAlgorithm, tracer=tracer)
     kinds = tracer.kinds()
     assert kinds["macr.update"] > 0
     assert set(kinds) == {"macr.update"}

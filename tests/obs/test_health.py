@@ -3,21 +3,26 @@
 import pytest
 
 from repro.core import PhantomAlgorithm
-from repro.fluid.scenarios import staggered_start as fluid_staggered
+from repro.fluid.scenarios import build_fluid
 from repro.obs.health import (CHECK_NAMES, HEALTH_SCHEMA, HEALTH_VERSION,
                               MAX_ORACLE_FACTOR, ORACLE_CHECKS,
                               SUITE_HEALTH_SCHEMA, build_health,
                               merge_health, oracle_allocation,
                               validate_health, verdict_of)
 from repro.obs.monitor import NOT_APPLICABLE, PASS, VIOLATED, check
-from repro.scenarios import drop_tail_policy, rtt_fairness, staggered_start
+from repro.scenarios import (build_atm, drop_tail_policy, rtt_fairness,
+                             staggered_config)
 
 E01_SHARE = 150.0 / 2.2   # 2 sessions + 1/5 phantom at 150 Mb/s
 
 
+def fluid_staggered(duration, **options):
+    return build_fluid(staggered_config(duration=duration), **options)
+
+
 @pytest.fixture(scope="module")
 def e01_run():
-    return staggered_start(PhantomAlgorithm, duration=0.25)
+    return build_atm(staggered_config(), algorithm_factory=PhantomAlgorithm)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,8 @@ import pytest
 from repro.core import PhantomAlgorithm
 from repro.obs import MetricsRegistry, registry_from_run
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
-from repro.scenarios import drop_tail_policy, many_flows, staggered_start
+from repro.scenarios import (build_atm, drop_tail_policy, many_flows,
+                             staggered_config)
 from repro.sim import Probe
 
 
@@ -167,7 +168,8 @@ def test_prometheus_label_values_are_escaped():
 
 @pytest.fixture(scope="module")
 def atm_registry():
-    run = staggered_start(PhantomAlgorithm, n_sessions=2, duration=0.05)
+    run = build_atm(staggered_config(n_sessions=2, duration=0.05),
+                    algorithm_factory=PhantomAlgorithm)
     return registry_from_run(run)
 
 

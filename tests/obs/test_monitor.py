@@ -13,7 +13,7 @@ from repro.obs.monitor import (DEFAULT_EPS, NOT_APPLICABLE, PASS,
                                detach, fairness_gap_check,
                                oscillation_check, queue_bound_check,
                                vandalore_bound)
-from repro.scenarios import staggered_start
+from repro.scenarios import build_atm, staggered_config
 from repro.sim import units
 from repro.sim.probe import Probe
 
@@ -106,7 +106,8 @@ def test_attach_detach_roundtrip_and_none_tolerance():
 
 @pytest.fixture(scope="module")
 def e01_run():
-    return staggered_start(PhantomAlgorithm, duration=0.3)
+    return build_atm(staggered_config(duration=0.3),
+                     algorithm_factory=PhantomAlgorithm)
 
 
 def test_conservation_exact_on_e01(e01_run):
@@ -219,9 +220,9 @@ def test_fairness_gap_check_worst_relative_error():
 # ----------------------------------------------------------------------
 
 def test_fluid_conservation_replays_queue_integral():
-    from repro.fluid.scenarios import staggered_start as fluid_staggered
+    from repro.fluid.scenarios import build_fluid
 
-    run = fluid_staggered()
+    run = build_fluid(staggered_config())
     out = conservation_check(run)
     assert out["verdict"] == PASS
     assert out["evidence"]["unbalanced"] == []
@@ -230,11 +231,11 @@ def test_fluid_conservation_replays_queue_integral():
 
 
 def test_fluid_queue_bound_scales_with_flow_count():
-    from repro.fluid.scenarios import staggered_start as fluid_staggered
+    from repro.fluid.scenarios import build_fluid
 
-    small = queue_bound_check(fluid_staggered(duration=0.1))
-    big = queue_bound_check(fluid_staggered(duration=0.1,
-                                            flows_per_session=10))
+    config = staggered_config(duration=0.1)
+    small = queue_bound_check(build_fluid(config))
+    big = queue_bound_check(build_fluid(config, flows_per_session=10))
     (name,) = small["evidence"]["bounds"]
     assert big["evidence"]["bounds"][name] == \
         pytest.approx(10 * small["evidence"]["bounds"][name])

@@ -1,14 +1,21 @@
-"""Tests for the ATM scenario builders (run with Phantom)."""
+"""The paper's ATM configurations, rendered by build_atm under Phantom."""
 
 import pytest
 
 from repro.core import PhantomAlgorithm, phantom_equilibrium_rate
-from repro.scenarios import (on_off, parking_lot, rtt_spread,
-                             staggered_start, transient)
+from repro.scenarios.atm import (background_config, onoff_config,
+                                 parking_config, rtt_config,
+                                 staggered_config, transient_config,
+                                 weighted_config)
+from repro.scenarios.generic import build_atm, validate_config
+
+
+def _phantom(config, **kwargs):
+    return build_atm(config, algorithm_factory=PhantomAlgorithm, **kwargs)
 
 
 def test_staggered_start_structure_and_convergence():
-    run = staggered_start(PhantomAlgorithm, n_sessions=2, duration=0.2)
+    run = _phantom(staggered_config(n_sessions=2, duration=0.2))
     assert set(run.net.sessions) == {"s0", "s1"}
     rates = run.steady_rates()
     expected = phantom_equilibrium_rate(150.0, 2, 5.0) * 31 / 32
@@ -18,7 +25,7 @@ def test_staggered_start_structure_and_convergence():
 
 
 def test_staggered_start_macr_and_queue_probes():
-    run = staggered_start(PhantomAlgorithm, n_sessions=2, duration=0.15)
+    run = _phantom(staggered_config(n_sessions=2, duration=0.15))
     assert run.macr_probe is not None
     assert len(run.macr_probe) > 100
     assert run.queue_stats()["max"] < 2000
@@ -26,52 +33,48 @@ def test_staggered_start_macr_and_queue_probes():
 
 def test_staggered_start_validation():
     with pytest.raises(ValueError):
-        staggered_start(PhantomAlgorithm, n_sessions=0)
+        staggered_config(n_sessions=0)
 
 
 def test_rtt_spread_rates_equal_despite_rtt():
-    run = rtt_spread(PhantomAlgorithm,
-                     access_delays=(1e-5, 1e-3), duration=0.3)
+    run = _phantom(rtt_config(access_delays=(1e-5, 1e-3), duration=0.3))
     rates = run.steady_rates()
     values = list(rates.values())
     assert values[0] == pytest.approx(values[1], rel=0.1)
     assert run.jain() > 0.99
 
 
-def test_on_off_deterministic_and_random():
-    run = on_off(PhantomAlgorithm, greedy=1, bursty=1, duration=0.3,
-                 seed=None)
+def test_on_off_greedy_keeps_flowing_beside_bursts():
+    run = _phantom(onoff_config(greedy=1, bursty=1, duration=0.3), seed=3)
     greedy_rate = run.steady_rates(fraction=0.5)["greedy0"]
     assert greedy_rate > 30.0  # greedy session keeps flowing
-
-    run2 = on_off(PhantomAlgorithm, greedy=1, bursty=1, duration=0.3,
-                  seed=3)
-    assert run2.net.sessions["onoff0"].destination.data_received > 0
+    assert run.net.sessions["onoff0"].destination.data_received > 0
 
 
 def test_on_off_reproducible_by_seed():
-    a = on_off(PhantomAlgorithm, duration=0.2, seed=5)
-    b = on_off(PhantomAlgorithm, duration=0.2, seed=5)
+    a = _phantom(onoff_config(duration=0.2), seed=5)
+    b = _phantom(onoff_config(duration=0.2), seed=5)
     assert a.steady_rates() == b.steady_rates()
 
 
 def test_parking_lot_long_session_not_beaten_down():
-    run = parking_lot(PhantomAlgorithm, hops=3, duration=0.3)
+    run = _phantom(parking_config(hops=3, duration=0.3))
     rates = run.steady_rates()
     # at the first trunk: long + cross0 -> each should get ~equal share;
     # long must not be squeezed below cross sessions' rates
     assert rates["long"] == pytest.approx(rates["cross0"], rel=0.2)
     assert run.net.sessions["long"].route == ["S1", "S2", "S3", "S4"]
+    assert run.bottleneck is run.net.trunk("S1", "S2")
 
 
 def test_parking_lot_validation():
     with pytest.raises(ValueError):
-        parking_lot(PhantomAlgorithm, hops=1)
+        parking_config(hops=1)
 
 
 def test_transient_visitor_joins_and_leaves():
-    run = transient(PhantomAlgorithm, duration=0.4, join_at=0.1,
-                    leave_at=0.25)
+    run = _phantom(transient_config(duration=0.4, join_at=0.1,
+                                    leave_at=0.25))
     base = run.net.sessions["base"]
     # during the shared period both run near the 2-session share
     shared = base.acr_probe.value_at(0.24)
@@ -85,11 +88,18 @@ def test_transient_visitor_joins_and_leaves():
 
 def test_transient_validation():
     with pytest.raises(ValueError):
-        transient(PhantomAlgorithm, join_at=0.3, leave_at=0.2, duration=0.4)
+        transient_config(join_at=0.3, leave_at=0.2, duration=0.4)
+
+
+def test_every_paper_config_is_a_valid_scenario_config():
+    for config in (staggered_config(), onoff_config(), rtt_config(),
+                   parking_config(), transient_config(),
+                   background_config(), weighted_config()):
+        assert validate_config(config) == []
 
 
 def test_run_false_defers_execution():
-    run = staggered_start(PhantomAlgorithm, duration=0.1, run=False)
+    run = _phantom(staggered_config(duration=0.1), run=False)
     assert run.net.sim.now == 0.0
     run.net.run(until=run.duration)
     assert run.net.sim.now == pytest.approx(0.1)

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.core import PhantomAlgorithm
-from repro.scenarios import (drop_tail_policy, many_flows, staggered_start,
-                             two_way)
+from repro.scenarios import (build_atm, drop_tail_policy, many_flows,
+                             staggered_config, two_way)
 
 
 @pytest.fixture(scope="module")
 def atm_run():
-    return staggered_start(PhantomAlgorithm, n_sessions=2, duration=0.15)
+    return build_atm(staggered_config(n_sessions=2, duration=0.15),
+                     algorithm_factory=PhantomAlgorithm)
 
 
 @pytest.fixture(scope="module")

@@ -166,6 +166,23 @@ def test_unknown_scenario_lists_the_registry():
         assert name in err.value.message
 
 
+@pytest.mark.parametrize("scenario,params,message", [
+    ("atm.staggered", {"tracer": 1},
+     "atm.staggered takes no tracer; its keys: algorithm, "),
+    ("fluid.staggered", {"bogus": 1}, "fluid.staggered takes no bogus"),
+    ("atm.staggered", {"algorithm": "bogus"},
+     "unknown algorithm 'bogus'; known: aprc, capc, eprca, erica, phantom, phantom-binary"),
+    ("tcp.many", {"policy": "bogus"}, "unknown policy 'bogus'; known: "),
+    ("fuzz.generic", {"config": "S1-S2"}, "config must be a mapping"),
+])
+def test_params_are_checked_against_the_entry(scenario, params, message):
+    with pytest.raises(ProtocolError) as err:
+        parse_submission({"scenario": scenario, "params": params},
+                         scenarios())
+    assert err.value.status == 400
+    assert message in err.value.message
+
+
 @pytest.mark.parametrize("payload", [
     "not a dict",
     {},                                        # no scenario
