@@ -8,16 +8,18 @@ parking lot the long flow is beaten down below every cross flow
 """
 
 from repro.analysis import format_table, jain_index
-from repro.scenarios import drop_tail_policy, rtt_fairness, tcp_parking_lot
+from repro.scenarios.tcp import (build_tcp, drop_tail_policy,
+                                 parking_config, rtt_config)
 
 DURATION = 25.0
 
 
 def test_e09_reno_droptail(run_once, benchmark):
     runs = run_once(lambda: {
-        "rtt": rtt_fairness(drop_tail_policy(), duration=DURATION),
-        "lot": tcp_parking_lot(drop_tail_policy(), hops=3,
-                               duration=DURATION),
+        "rtt": build_tcp(rtt_config(duration=DURATION),
+                         policy_factory=drop_tail_policy()),
+        "lot": build_tcp(parking_config(hops=3, duration=DURATION),
+                         policy_factory=drop_tail_policy()),
     })
 
     rtt_rates = runs["rtt"].goodputs()

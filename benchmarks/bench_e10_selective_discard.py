@@ -8,19 +8,21 @@ this reproduction defaults to (see repro.tcp.phantom_router docs).
 """
 
 from repro.analysis import format_table, jain_index
-from repro.scenarios import (rtt_fairness, selective_discard_policy,
-                             tcp_parking_lot)
+from repro.scenarios.tcp import (build_tcp, parking_config, rtt_config,
+                                 selective_discard_policy)
 
 DURATION = 25.0
 
 
 def test_e10_selective_discard(run_once, benchmark):
     runs = run_once(lambda: {
-        "rtt": rtt_fairness(selective_discard_policy(), duration=DURATION),
-        "lot": tcp_parking_lot(selective_discard_policy(), hops=3,
-                               duration=DURATION),
-        "rtt_dropall": rtt_fairness(
-            selective_discard_policy(drop_gap=0.0), duration=DURATION),
+        "rtt": build_tcp(rtt_config(duration=DURATION),
+                         policy_factory=selective_discard_policy()),
+        "lot": build_tcp(parking_config(hops=3, duration=DURATION),
+                         policy_factory=selective_discard_policy()),
+        "rtt_dropall": build_tcp(
+            rtt_config(duration=DURATION),
+            policy_factory=selective_discard_policy(drop_gap=0.0)),
     })
 
     rtt_rates = runs["rtt"].goodputs()

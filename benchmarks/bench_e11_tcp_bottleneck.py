@@ -3,8 +3,8 @@ analogue): goodput split and queue, drop-tail vs Selective Discard.
 """
 
 from repro.analysis import format_table, jain_index
-from repro.scenarios import (drop_tail_policy, many_flows,
-                             selective_discard_policy)
+from repro.scenarios.tcp import (build_tcp, drop_tail_policy, many_config,
+                                 selective_discard_policy)
 
 DURATION = 25.0
 N_FLOWS = 4
@@ -12,10 +12,12 @@ N_FLOWS = 4
 
 def test_e11_tcp_bottleneck(run_once, benchmark):
     runs = run_once(lambda: {
-        "drop-tail": many_flows(drop_tail_policy(), n_flows=N_FLOWS,
-                                duration=DURATION),
-        "selective": many_flows(selective_discard_policy(),
-                                n_flows=N_FLOWS, duration=DURATION),
+        "drop-tail": build_tcp(many_config(n_flows=N_FLOWS,
+                                           duration=DURATION),
+                               policy_factory=drop_tail_policy()),
+        "selective": build_tcp(many_config(n_flows=N_FLOWS,
+                                           duration=DURATION),
+                               policy_factory=selective_discard_policy()),
     })
 
     rows = []

@@ -13,17 +13,19 @@ The two gentler Section-4 mechanisms on the E09 topology:
 """
 
 from repro.analysis import format_table, jain_index
-from repro.scenarios import (rtt_fairness, selective_efci_policy,
-                             selective_quench_policy)
+from repro.scenarios.tcp import (build_tcp, rtt_config,
+                                 selective_efci_policy,
+                                 selective_quench_policy)
 
 DURATION = 25.0
 
 
 def test_e12_quench_and_efci(run_once, benchmark):
     runs = run_once(lambda: {
-        "quench": rtt_fairness(selective_quench_policy(),
-                               duration=DURATION),
-        "efci": rtt_fairness(selective_efci_policy(), duration=DURATION),
+        "quench": build_tcp(rtt_config(duration=DURATION),
+                            policy_factory=selective_quench_policy()),
+        "efci": build_tcp(rtt_config(duration=DURATION),
+                          policy_factory=selective_efci_policy()),
     })
 
     rows = []

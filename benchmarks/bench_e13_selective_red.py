@@ -9,8 +9,7 @@ under heterogeneous RTTs.
 import random
 
 from repro.analysis import format_table, jain_index
-from repro.scenarios import (TCP_PHANTOM_PARAMS, rtt_fairness,
-                             selective_red_policy)
+from repro.scenarios.tcp import build_tcp, rtt_config, selective_red_policy
 from repro.tcp import Red
 
 DURATION = 25.0
@@ -23,11 +22,12 @@ def red_policy():
 
 def test_e13_selective_red(run_once, benchmark):
     runs = run_once(lambda: {
-        "red": rtt_fairness(red_policy(), duration=DURATION),
-        "selective-red": rtt_fairness(
-            selective_red_policy(min_th=5, max_th=15, max_p=0.05,
-                                 rng=random.Random(42)),
-            duration=DURATION),
+        "red": build_tcp(rtt_config(duration=DURATION),
+                         policy_factory=red_policy()),
+        "selective-red": build_tcp(
+            rtt_config(duration=DURATION),
+            policy_factory=selective_red_policy(
+                min_th=5, max_th=15, max_p=0.05, rng=random.Random(42))),
     })
 
     rows = []

@@ -8,19 +8,19 @@ same number for both, regardless of source thresholds.
 """
 
 from repro.analysis import format_table, jain_index
-from repro.scenarios import (drop_tail_policy, selective_discard_policy,
-                             vegas_thresholds)
+from repro.scenarios.tcp import (build_tcp, drop_tail_policy,
+                                 selective_discard_policy, vegas_config)
 
 DURATION = 30.0
 
 
 def test_e21_vegas_thresholds(run_once, benchmark):
     runs = run_once(lambda: {
-        "drop-tail": vegas_thresholds(drop_tail_policy(200),
-                                      duration=DURATION),
-        "selective": vegas_thresholds(
-            selective_discard_policy(buffer_packets=200),
-            duration=DURATION),
+        "drop-tail": build_tcp(vegas_config(duration=DURATION),
+                               policy_factory=drop_tail_policy(200)),
+        "selective": build_tcp(
+            vegas_config(duration=DURATION),
+            policy_factory=selective_discard_policy(buffer_packets=200)),
     })
 
     rows = []

@@ -8,18 +8,18 @@ three are held to the same rate grant.
 """
 
 from repro.analysis import format_table, jain_index
-from repro.scenarios import (drop_tail_policy, mixed_stacks,
-                             selective_discard_policy)
+from repro.scenarios.tcp import (build_tcp, drop_tail_policy, mixed_config,
+                                 selective_discard_policy)
 
 DURATION = 30.0
 
 
 def test_e22_mixed_stacks(run_once, benchmark):
     runs = run_once(lambda: {
-        "drop-tail": mixed_stacks(drop_tail_policy(100),
-                                  duration=DURATION),
-        "selective": mixed_stacks(selective_discard_policy(),
-                                  duration=DURATION),
+        "drop-tail": build_tcp(mixed_config(duration=DURATION),
+                               policy_factory=drop_tail_policy(100)),
+        "selective": build_tcp(mixed_config(duration=DURATION),
+                               policy_factory=selective_discard_policy()),
     })
 
     rows = []

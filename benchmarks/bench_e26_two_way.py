@@ -7,17 +7,18 @@ candidates, so both directions stay fair and below capacity.
 """
 
 from repro.analysis import format_table, jain_index
-from repro.scenarios import (drop_tail_policy, selective_discard_policy,
-                             two_way)
+from repro.scenarios.tcp import (build_tcp, drop_tail_policy,
+                                 selective_discard_policy, two_way_config)
 
 DURATION = 20.0
 
 
 def test_e26_two_way(run_once, benchmark):
     runs = run_once(lambda: {
-        "drop-tail": two_way(drop_tail_policy(), duration=DURATION),
-        "selective": two_way(selective_discard_policy(),
-                             duration=DURATION),
+        "drop-tail": build_tcp(two_way_config(duration=DURATION),
+                               policy_factory=drop_tail_policy()),
+        "selective": build_tcp(two_way_config(duration=DURATION),
+                               policy_factory=selective_discard_policy()),
     })
 
     rows = []

@@ -1,15 +1,17 @@
 """Fast kernel against the evented reference on generated scenarios
-and the paper's ATM experiments (a step of the fuzz-smoke workflow job).
+and the paper's ATM and TCP experiments (a step of the fuzz-smoke
+workflow job).
 
 Each of the first ``--count`` configs of ``fuzz.gen.generate_batch``
-for ``--seed``, then every ATM row of the E01-E26 suite (its
-configuration, algorithm and seed as the registry entry renders it, at
-full horizon), is built twice and run to its horizon, once by the fast
-kernel (an unbounded run, which drains cell trains inline and absorbs
-deliveries into counting sinks) and once as the evented reference (a
-run bounded by ``max_events``, which takes neither shortcut).  Any
-difference in probe digests, counters, ``executed_events`` or the final
-clock fails the run.  See :func:`repro.perf.golden.reference_problems`.
+for ``--seed``, then every ATM and TCP row of the E01-E26 suite (its
+configuration with its algorithm and seed, or its router policy, as
+the registry entry renders it, at full horizon), is built twice and run
+to its horizon, once by the fast kernel (an unbounded run, which drains
+cell and packet trains inline and absorbs deliveries into counting
+sinks) and once as the evented reference (a run bounded by
+``max_events``, which takes neither shortcut).  Any difference in probe
+digests, counters, ``executed_events`` or the final clock fails the
+run.  See :func:`repro.perf.golden.reference_problems`.
 
 Named without the ``bench_`` prefix so pytest does not collect it.
 Run directly::
@@ -31,9 +33,9 @@ from repro.exec.spec import derive_seed
 from repro.exec.suite import SUITE
 from repro.fuzz.gen import generate_batch
 from repro.perf.golden import reference_problems
-from repro.scenarios import atm
+from repro.scenarios import atm, tcp
 
-#: ATM registry entry -> the configuration it renders with build_atm.
+#: Registry entry -> the configuration it renders.
 CONFIGS = {
     "atm.staggered": atm.staggered_config,
     "atm.onoff": atm.onoff_config,
@@ -42,23 +44,35 @@ CONFIGS = {
     "atm.transient": atm.transient_config,
     "atm.background": atm.background_config,
     "atm.weighted": atm.weighted_config,
+    "tcp.rtt": tcp.rtt_config,
+    "tcp.parking": tcp.parking_config,
+    "tcp.many": tcp.many_config,
+    "tcp.vegas": tcp.vegas_config,
+    "tcp.mixed": tcp.mixed_config,
+    "tcp.twoway": tcp.two_way_config,
 }
 
 
 def suite_inputs(seed: int):
-    """``(task id, config, seed)`` of every ATM suite row: the entry's
-    config with its algorithm keys, and the seed a suite task gets."""
+    """``(task id, config, seed, policy)`` of every ATM and TCP suite
+    row: an ATM entry's config with its algorithm keys and the seed a
+    suite task gets, or a TCP entry's config and its router policy."""
     entries = all_scenarios()
     for task_id, scenario, params in SUITE:
-        if entries[scenario].kind != "atm":
+        kind = entries[scenario].kind
+        if kind not in ("atm", "tcp"):
             continue
         options = dict(params)
+        if kind == "tcp":
+            policy = options.pop("policy", "selective-discard")
+            yield task_id, CONFIGS[scenario](**options), 0, policy
+            continue
         algorithm = {key: options.pop(key)
                      for key in ("algorithm", "algorithm_params")
                      if key in options}
         config = dict(CONFIGS[scenario](**options), **algorithm)
         yield task_id, config, (derive_seed(seed, task_id)
-                                if entries[scenario].takes_seed else 0)
+                                if entries[scenario].takes_seed else 0), None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,12 +80,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--count", type=int, default=60)
     args = parser.parse_args(argv)
-    inputs = [(spec.task_id, spec.config, spec.seed)
+    inputs = [(spec.task_id, spec.config, spec.seed, None)
               for spec in generate_batch(args.seed, args.count)]
     inputs += suite_inputs(args.seed)
     failed = 0
-    for task_id, config, seed in inputs:
-        problems = reference_problems(config, seed)
+    for task_id, config, seed, policy in inputs:
+        problems = reference_problems(config, seed, policy=policy)
         status = "ok" if not problems else "DIFFERS"
         print(f"fast-vs-reference {status}: {task_id}", flush=True)
         for line in problems:

@@ -12,8 +12,8 @@ Run:  python examples/tcp_selective_discard.py   (~1 minute)
 """
 
 from repro.analysis import format_table, jain_index
-from repro.scenarios import (drop_tail_policy, rtt_fairness,
-                             selective_discard_policy)
+from repro.scenarios.tcp import (build_tcp, drop_tail_policy, rtt_config,
+                                 selective_discard_policy)
 
 DURATION = 30.0
 
@@ -31,10 +31,12 @@ def describe(label, run):
 
 
 def main() -> None:
+    config = rtt_config(duration=DURATION)
     print("simulating drop-tail ...")
-    drop_tail = rtt_fairness(drop_tail_policy(), duration=DURATION)
+    drop_tail = build_tcp(config, policy_factory=drop_tail_policy())
     print("simulating selective discard ...")
-    selective = rtt_fairness(selective_discard_policy(), duration=DURATION)
+    selective = build_tcp(config,
+                          policy_factory=selective_discard_policy())
 
     print()
     print(format_table(

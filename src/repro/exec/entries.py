@@ -6,13 +6,16 @@ policy choices travel as *names* and are resolved here, inside the
 worker, against the same tables the CLI uses — plus ``tracer``, which
 no spec carries: ``repro run --trace`` hands a live
 :class:`~repro.obs.Tracer` to the same entry a suite task calls.
-Entries return the run handles the scenario builders produce
-(:class:`~repro.scenarios.results.AtmRun` / ``TcpRun`` /
+Entries return the run handles the renderers produce
+(:class:`~repro.scenarios.generic.AtmRun` /
+:class:`~repro.scenarios.tcp.TcpRun` /
 :class:`~repro.fluid.results.FluidRun`), which the worker reduces to
 metrics and probe digests.  Each ATM and fluid entry takes one of the
 paper's configs from :mod:`repro.scenarios.atm` and renders it: cell
 by cell with :func:`~repro.scenarios.generic.build_atm`, or as rates
-with :func:`~repro.fluid.scenarios.build_fluid`.
+with :func:`~repro.fluid.scenarios.build_fluid`.  Each TCP entry takes
+one from :mod:`repro.scenarios.tcp` and renders it as TCP flows with
+:func:`~repro.scenarios.tcp.build_tcp`.
 
 Registering an entry imports nothing from the simulator: each entry
 imports its builder in its own body, and the algorithm and policy
@@ -22,8 +25,8 @@ registry itself.
 
 Fingerprint roots: every entry declares the modules of its config and
 its renderer (``repro.scenarios.atm`` with ``repro.scenarios.generic``
-or ``repro.fluid.scenarios``) and every TCP entry
-``repro.scenarios.tcp``; :func:`atm_param_deps` / :func:`tcp_param_deps`
+or ``repro.fluid.scenarios``; ``repro.scenarios.tcp`` holds both for
+the TCP entries); :func:`atm_param_deps` / :func:`tcp_param_deps`
 add the module defining the *chosen* algorithm/policy, so an edit to
 ``repro/baselines/capc.py`` invalidates only the CAPC tasks.  The
 fingerprint also covers this whole file (see
@@ -40,7 +43,8 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 from repro.exec.registry import register_scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.scenarios.results import AtmRun
+    from repro.scenarios.generic import AtmRun
+    from repro.scenarios.tcp import TcpRun
 
 #: name -> (algorithm class, its params class), as dotted names.  The
 #: algorithm's module is the params-derived fingerprint root: choosing
@@ -381,43 +385,49 @@ def fluid_hybrid_e01(foreground: int = 2, background: int = 500,
 
 
 # ----------------------------------------------------------------------
-# TCP entries
+# TCP entries: a repro.scenarios.tcp config rendered by build_tcp
 # ----------------------------------------------------------------------
+def _tcp_run(config: Mapping[str, Any], policy: str,
+             policy_params: Mapping[str, Any] | None, tracer) -> TcpRun:
+    from repro.scenarios.tcp import build_tcp
+
+    return build_tcp(config, policy_factory=_policy_factory(
+        policy, policy_params), tracer=tracer)
+
+
 def tcp_rtt(policy: str = "selective-discard",
             policy_params: Mapping[str, Any] | None = None,
             access_delays: Sequence[float] = (1e-3, 4e-3),
             duration: float = 30.0, trunk_rate: float = 10.0,
-            tracer=None):
-    from repro.scenarios.tcp import rtt_fairness
+            tracer=None) -> TcpRun:
+    from repro.scenarios.tcp import rtt_config
 
-    return rtt_fairness(
-        _policy_factory(policy, policy_params),
-        access_delays=tuple(access_delays), duration=duration,
-        trunk_rate=trunk_rate, tracer=tracer)
+    return _tcp_run(rtt_config(
+        access_delays=access_delays, duration=duration,
+        trunk_rate=trunk_rate), policy, policy_params, tracer)
 
 
 def tcp_parking(policy: str = "selective-discard",
                 policy_params: Mapping[str, Any] | None = None,
                 hops: int = 3, duration: float = 30.0,
-                trunk_rate: float = 10.0, tracer=None):
-    from repro.scenarios.tcp import tcp_parking_lot
+                trunk_rate: float = 10.0, tracer=None) -> TcpRun:
+    from repro.scenarios.tcp import parking_config
 
-    return tcp_parking_lot(
-        _policy_factory(policy, policy_params),
-        hops=hops, duration=duration, trunk_rate=trunk_rate, tracer=tracer)
+    return _tcp_run(parking_config(
+        hops=hops, duration=duration, trunk_rate=trunk_rate),
+        policy, policy_params, tracer)
 
 
 def tcp_many(policy: str = "selective-discard",
              policy_params: Mapping[str, Any] | None = None,
              n_flows: int = 4, duration: float = 30.0,
              trunk_rate: float = 10.0, access_delay: float = 2e-3,
-             tracer=None):
-    from repro.scenarios.tcp import many_flows
+             tracer=None) -> TcpRun:
+    from repro.scenarios.tcp import many_config
 
-    return many_flows(
-        _policy_factory(policy, policy_params),
+    return _tcp_run(many_config(
         n_flows=n_flows, duration=duration, trunk_rate=trunk_rate,
-        access_delay=access_delay, tracer=tracer)
+        access_delay=access_delay), policy, policy_params, tracer)
 
 
 def tcp_vegas(policy: str = "selective-discard",
@@ -425,36 +435,33 @@ def tcp_vegas(policy: str = "selective-discard",
               hungry: Sequence[float] = (8.0, 10.0),
               modest: Sequence[float] = (1.0, 2.0),
               duration: float = 30.0, trunk_rate: float = 10.0,
-              tracer=None):
-    from repro.scenarios.tcp import vegas_thresholds
+              tracer=None) -> TcpRun:
+    from repro.scenarios.tcp import vegas_config
 
-    return vegas_thresholds(
-        _policy_factory(policy, policy_params),
-        hungry=tuple(hungry), modest=tuple(modest), duration=duration,
-        trunk_rate=trunk_rate, tracer=tracer)
+    return _tcp_run(vegas_config(
+        hungry=hungry, modest=modest, duration=duration,
+        trunk_rate=trunk_rate), policy, policy_params, tracer)
 
 
 def tcp_mixed(policy: str = "selective-discard",
               policy_params: Mapping[str, Any] | None = None,
               duration: float = 30.0, trunk_rate: float = 10.0,
-              tracer=None):
-    from repro.scenarios.tcp import mixed_stacks
+              tracer=None) -> TcpRun:
+    from repro.scenarios.tcp import mixed_config
 
-    return mixed_stacks(
-        _policy_factory(policy, policy_params),
-        duration=duration, trunk_rate=trunk_rate, tracer=tracer)
+    return _tcp_run(mixed_config(duration=duration, trunk_rate=trunk_rate),
+                    policy, policy_params, tracer)
 
 
 def tcp_twoway(policy: str = "selective-discard",
                policy_params: Mapping[str, Any] | None = None,
                flows_per_direction: int = 2, duration: float = 30.0,
-               trunk_rate: float = 10.0, tracer=None):
-    from repro.scenarios.tcp import two_way
+               trunk_rate: float = 10.0, tracer=None) -> TcpRun:
+    from repro.scenarios.tcp import two_way_config
 
-    return two_way(
-        _policy_factory(policy, policy_params),
+    return _tcp_run(two_way_config(
         flows_per_direction=flows_per_direction, duration=duration,
-        trunk_rate=trunk_rate, tracer=tracer)
+        trunk_rate=trunk_rate), policy, policy_params, tracer)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ class ScenarioEntry:
     name: str
     #: Module-level builder; called with the spec's params (plus ``seed``
     #: when the signature accepts one) and returns a run handle
-    #: (:class:`~repro.scenarios.results.AtmRun` or ``TcpRun``).
+    #: (``AtmRun``, ``TcpRun`` or ``FluidRun``).
     fn: Callable[..., Any]
     #: ``"atm"``, ``"tcp"``, or ``"fluid"`` — selects the standard
     #: metric set (fluid runs share the ATM rate/fairness/queue set).

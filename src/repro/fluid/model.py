@@ -36,6 +36,7 @@ the trunk.  Both default to inert values; pure-fluid behaviour is the
 
 from __future__ import annotations
 
+import random
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -44,7 +45,6 @@ from repro.core.macr import MacrFilter
 from repro.core.params import DEFAULT_PHANTOM_PARAMS, PhantomParams
 from repro.fluid.stepper import FlowGroup, rate_cells_per_interval
 from repro.sim.probe import Probe, StepProbe
-from repro.sim.rng import RngStreams
 
 
 class FluidTrunk:
@@ -124,7 +124,8 @@ class FlowCohort:
     def __init__(self, net: "FluidNetwork", name: str,
                  route: tuple[str, ...], count: int, params: AbrParams,
                  demand_mbps: float | None, on_time: float | None,
-                 off_time: float | None, rm_loss: float):
+                 off_time: float | None, rng: random.Random | None,
+                 rm_loss: float):
         self.name = name
         self.route = route
         self.count = count
@@ -137,7 +138,7 @@ class FlowCohort:
         self.group: FlowGroup | None = None
         self.index = -1
         self.rate_probe = Probe(f"{name}.rate")
-        self._rng = None
+        self._rng = rng
         self._on = True
         self._went_off: float | None = None
         self._net = net
@@ -195,10 +196,8 @@ class FlowCohort:
         self._net.at(self._net.now + self._draw_duration(), self._toggle)
 
     def _draw_duration(self) -> float:
-        """Length of the phase just entered (exponential when seeded)."""
+        """Length of the phase just entered, exponential with its mean."""
         mean = self.on_time if self._on else self.off_time
-        if self._rng is None:
-            return mean
         return self._rng.expovariate(1.0 / mean)
 
 
@@ -207,8 +206,8 @@ class FluidNetwork:
 
     def __init__(self, phantom: PhantomParams = DEFAULT_PHANTOM_PARAMS,
                  mode: str = "er", use_ni: bool = False,
-                 ni_fraction: float = 0.8, seed: int | None = 0,
-                 tracer=None, record_cohorts: bool = True):
+                 ni_fraction: float = 0.8, tracer=None,
+                 record_cohorts: bool = True):
         if mode not in ("er", "binary"):
             raise ValueError(f"mode must be 'er' or 'binary', got {mode!r}")
         self.phantom = phantom
@@ -216,10 +215,6 @@ class FluidNetwork:
         self.mode = mode
         self.use_ni = use_ni
         self.ni_fraction = ni_fraction
-        #: ``None`` makes on/off phases fixed at their means, exactly as
-        #: ``seed=None`` does for the packet scenarios.
-        self.seed = seed
-        self.rng = RngStreams(seed if seed is not None else 0)
         self.record_cohorts = record_cohorts
         self.steps = 0
         self.trunks: dict[str, FluidTrunk] = {}
@@ -253,11 +248,14 @@ class FluidNetwork:
                    count: int = 1, params: AbrParams = PAPER_PARAMS,
                    start: float = 0.0, demand_mbps: float | None = None,
                    on_time: float | None = None,
-                   off_time: float | None = None, rm_loss: float = 0.0,
+                   off_time: float | None = None,
+                   rng: random.Random | None = None, rm_loss: float = 0.0,
                    feedback_delay: float | None = None,
                    forward_delays: tuple[float, ...] | None = None
                    ) -> FlowCohort:
-        """Add ``count`` identical flows on ``route`` as one cohort."""
+        """Add ``count`` identical flows on ``route`` as one cohort; an
+        on/off cohort draws its phases from ``rng`` as ``OnOffDriver``
+        does (one draw now, one per toggle)."""
         if self._started:
             raise RuntimeError("network already started")
         if count < 1:
@@ -268,10 +266,10 @@ class FluidNetwork:
         for hop in route:
             if hop not in self.trunks:
                 raise KeyError(f"unknown trunk {hop!r} in route")
-        if (on_time is None) != (off_time is None):
-            raise ValueError("on_time and off_time go together")
+        if not (on_time is None) == (off_time is None) == (rng is None):
+            raise ValueError("on_time, off_time and rng go together")
         cohort = FlowCohort(self, name, route, count, params,
-                            demand_mbps, on_time, off_time, rm_loss)
+                            demand_mbps, on_time, off_time, rng, rm_loss)
         # feedback lag quantised to intervals; the default (0 slots) has
         # sources react to the freshest grant within the same interval,
         # matching packet sources whose RM round trip is short vs Δt
@@ -285,11 +283,6 @@ class FluidNetwork:
         cohort.index = group.add(
             cohort, cohort.full_demand if active_now else 0.0)
         if on_time is not None:
-            # bursty: exponential phases when seeded (fixed otherwise),
-            # drawn from the cohort's named stream in the same order as
-            # the packet OnOffDriver (one draw now, one per toggle)
-            if self.seed is not None:
-                cohort._rng = self.rng.stream(name)
             first = start + cohort._draw_duration()
             self.at(start, lambda: cohort.set_active(True))
             self.at(first, cohort._toggle)

@@ -1,8 +1,8 @@
 """Fluid and hybrid run handles.
 
-Same vocabulary as :mod:`repro.scenarios.results` — steady-state rates,
-Jain fairness, utilisation, queue statistics — so the validation suite
-can compare a packet :class:`~repro.scenarios.results.AtmRun` and a
+Same vocabulary as the packet run handles — steady-state rates, Jain
+fairness, utilisation, queue statistics — so the validation suite can
+compare a packet :class:`~repro.scenarios.generic.AtmRun` and a
 :class:`FluidRun` field by field.  The one deliberate difference: fluid
 rates are *per flow*, and every aggregate (fairness, utilisation) is
 count-weighted, so a cohort of ten thousand flows counts as ten
@@ -17,7 +17,7 @@ from repro.analysis import queue_stats
 from repro.fluid.model import FluidNetwork, FluidTrunk
 from repro.sim.probe import Probe
 
-# HybridRun's fields reference AtmRun (repro.scenarios.results) and
+# HybridRun's fields reference AtmRun (repro.scenarios.generic) and
 # HybridCoupling (repro.fluid.hybrid) by string annotation only: an
 # import here — even a TYPE_CHECKING one — would drag the packet stack
 # and the coupling layer into the import closure of every pure-fluid

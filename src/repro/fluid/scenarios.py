@@ -1,7 +1,7 @@
 """Fluid scenarios: scenario configs rendered as rates, and the
 million-flow scale scenario.
 
-:func:`build_fluid` renders the same :mod:`repro.scenarios.generic`
+:func:`build_fluid` renders the same :mod:`repro.scenarios.config`
 config that :func:`repro.scenarios.generic.build_atm` runs cell by cell
 — the paper's configurations in :mod:`repro.scenarios.atm` included —
 so the validation suite can run one description on both tiers and
@@ -20,6 +20,8 @@ from repro.atm.params import AbrParams, PAPER_PARAMS
 from repro.core.params import DEFAULT_PHANTOM_PARAMS, PhantomParams
 from repro.fluid.model import FluidNetwork
 from repro.fluid.results import FluidRun
+from repro.scenarios.config import bottleneck, topology
+from repro.sim.rng import RngStreams
 
 #: Grant floor disabled: with thousands of flows, holding every silent
 #: source at 5% of the line rate would alone oversubscribe the trunk.
@@ -35,61 +37,46 @@ def build_fluid(config: Mapping[str, Any], *, flows_per_session: int = 1,
                 tracer=None, run: bool = True) -> FluidRun:
     """Build (and by default run) the fluid twin of a scenario config.
 
-    Each hop a route crosses becomes a trunk named ``a->b`` like the
-    packet port, at the config trunk's ``rate``; each session becomes a
-    cohort of ``flows_per_session`` flows under the session's name,
-    with its start, stop, on/off means and ABR params; ``rm_loss``
-    thins every cohort's feedback.  The bottleneck follows the packet
-    rule: ``bottleneck``, else the trunk most sessions cross, ties
-    broken by name.  The switch algorithm, delays and buffers are
-    packet-tier keys (``mode`` and ``phantom`` choose the fluid law),
-    and a config with CBR/VBR background is refused: the fluid model has
-    no guaranteed class.  An on/off cohort draws its phases from the
-    ``seed`` stream named after the cohort, whatever the config's
-    ``stream``.
+    Each port a route crosses becomes a trunk named ``a->b`` like the
+    packet port, at its :func:`~repro.scenarios.config.topology` rate;
+    each session becomes a cohort of ``flows_per_session`` flows under
+    the session's name, with its start, stop, on/off means and ABR
+    params; ``rm_loss`` thins every cohort's feedback.  The bottleneck
+    is :func:`~repro.scenarios.config.bottleneck`'s, as on the packet
+    tier.  An on/off cohort draws its phases from the ``seed`` stream
+    the config's ``stream`` names, as the packet driver does.  The
+    switch algorithm, delays and buffers are packet-tier keys (``mode``
+    and ``phantom`` choose the fluid law), and a config with CBR/VBR
+    background is refused: the fluid model has no guaranteed class.
     """
     for key in ("cbr", "vbr"):
         if config.get(key):
             raise ValueError(f"the fluid tier cannot render {key!r} "
                              "background traffic")
     net = FluidNetwork(phantom=phantom, mode=mode, use_ni=use_ni,
-                       ni_fraction=ni_fraction,
-                       seed=seed if seed is not None else 0, tracer=tracer)
-    link_rate = float(config.get("link_rate", 150.0))
-    rates = {}
-    for trunk in config["trunks"]:
-        rate = trunk.get("rate")
-        rates[trunk["a"], trunk["b"]] = rates[trunk["b"], trunk["a"]] = \
-            link_rate if rate is None else float(rate)
+                       ni_fraction=ni_fraction, tracer=tracer)
+    streams = RngStreams(seed if seed is not None else 0)
+    capacities, routes = topology(config)
     rm_loss = float(config.get("rm_loss", 0.0))
     for entry in config["sessions"]:
-        route = entry["route"]
-        hops = []
-        for hop in zip(route, route[1:]):
-            name = "->".join(hop)
-            if name not in net.trunks:
-                net.add_trunk(name, capacity_mbps=rates[hop])
-            hops.append(name)
+        vc = entry["vc"]
+        for hop in routes[vc]:
+            if hop not in net.trunks:
+                net.add_trunk(hop, capacity_mbps=capacities[hop])
         onoff = entry.get("onoff") or {}
         cohort = net.add_cohort(
-            entry["vc"], hops, count=flows_per_session,
+            vc, routes[vc], count=flows_per_session,
             params=AbrParams(**dict(entry.get("params") or {})),
             start=float(entry.get("start", 0.0)),
             on_time=onoff.get("on"), off_time=onoff.get("off"),
+            rng=(streams.stream(onoff.get("stream", f"onoff.{vc}"))
+                 if onoff else None),
             rm_loss=rm_loss)
         if entry.get("stop") is not None:
             net.at(float(entry["stop"]), partial(cohort.set_active, False))
-    chosen = config.get("bottleneck")
-    if chosen:
-        bottleneck = "->".join(chosen)
-    else:
-        crossings = dict.fromkeys(net.trunks, 0)
-        for cohort in net.cohorts:
-            for hop in cohort.route:
-                crossings[hop] += 1
-        bottleneck = max(sorted(crossings), key=crossings.__getitem__)
     duration = float(config.get("duration", 0.25))
-    result = FluidRun(net=net, bottleneck=net.trunks[bottleneck],
+    result = FluidRun(net=net,
+                      bottleneck=net.trunks["->".join(bottleneck(config))],
                       duration=duration)
     if run:
         net.run(until=duration)

@@ -77,16 +77,11 @@ def _row(scenario: str, metric: str, packet_value: float,
 
 
 def _common_rows(scenario: str, packet_run, fluid_run,
-                 rate_tolerance: str,
-                 utilization_sessions: tuple[str, ...] | None = None,
-                 ) -> list[dict[str, Any]]:
+                 rate_tolerance: str) -> list[dict[str, Any]]:
     """Rate / fairness / utilisation / queue rows shared by every pair.
 
-    ``utilization_sessions`` restricts the packet-side utilisation sum
-    to the named sessions: the packet ``AtmRun.utilization`` divides the
-    sum over *all* sessions by one link rate, which over-counts on
-    multi-hop topologies, while the fluid handle already filters to the
-    cohorts crossing the bottleneck.
+    Both handles' utilisation counts the sessions crossing the
+    bottleneck.
     """
     rows = []
     packet_rates = packet_run.steady_rates()
@@ -103,12 +98,7 @@ def _common_rows(scenario: str, packet_run, fluid_run,
                       else "jain_abs")
     rows.append(_row(scenario, "jain", packet_run.jain(),
                      fluid_run.jain(), jain_tolerance))
-    if utilization_sessions is None:
-        packet_util = packet_run.utilization()
-    else:
-        packet_util = (sum(packet_rates[s] for s in utilization_sessions)
-                       / packet_run.bottleneck.rate_mbps)
-    rows.append(_row(scenario, "utilization", packet_util,
+    rows.append(_row(scenario, "utilization", packet_run.utilization(),
                      fluid_run.utilization(), "utilization_abs"))
     rows.append(_row(scenario, "queue.max",
                      packet_run.queue_stats()["max"],
@@ -123,9 +113,6 @@ class Case(NamedTuple):
     config: Mapping[str, Any]
     #: Tolerance key of the per-session rate rows.
     rate_band: str
-    #: Sessions crossing the bottleneck, when not all do (see
-    #: :func:`_common_rows`).
-    utilization_sessions: tuple[str, ...] | None = None
     #: Seed of both renderings (on/off phases, RM-loss coin flips).
     seed: int = 0
 
@@ -143,8 +130,7 @@ CASES: dict[str, Case] = {
                              "greedy_rate_rel"),
     "e02_onoff_seed7": Case(onoff_config(duration=0.5), "bursty_rate_rel",
                             seed=7),
-    "e05_parking_3hop": Case(parking_config(hops=3), "greedy_rate_rel",
-                             utilization_sessions=("long", "cross0")),
+    "e05_parking_3hop": Case(parking_config(hops=3), "greedy_rate_rel"),
     "transient": Case(transient_config(), "greedy_rate_rel"),
     "rm_loss_0.01": Case(dict(staggered_config(duration=0.4),
                               rm_loss=0.01), "loss_rate_rel"),
@@ -157,8 +143,7 @@ def compare(name: str) -> list[dict[str, Any]]:
     packet = build_atm(case.config, algorithm_factory=PhantomAlgorithm,
                        seed=case.seed)
     fluid = build_fluid(case.config, seed=case.seed)
-    return _common_rows(name, packet, fluid, case.rate_band,
-                        case.utilization_sessions)
+    return _common_rows(name, packet, fluid, case.rate_band)
 
 
 def validation_rows() -> list[dict[str, Any]]:

@@ -33,10 +33,11 @@ from typing import Any, Iterable, Mapping
 from repro.core.params import PhantomParams
 from repro.exec.pool import ExecResult, run_tasks
 from repro.exec.spec import TaskSpec
-from repro.fuzz.oracle import oracle_for_config, topology_of
+from repro.fuzz.oracle import oracle_for_config
 from repro.obs.health import (RM_LOSS_REASON, equilibrium_reason,
                               floor_reason, law_reason)
 from repro.obs.monitor import VIOLATED, fairness_gap_check
+from repro.scenarios.config import topology
 
 #: Classification labels.
 CLASS_PASS = "pass"
@@ -66,12 +67,12 @@ def oracle_eligibility(config: Mapping[str, Any]) -> str | None:
     if reason is not None:
         return reason
     link_rate = float(config.get("link_rate", 150.0))
-    for trunk in config.get("trunks", ()):
-        if float(trunk.get("rate", link_rate)) > link_rate:
-            return (f"trunk {trunk['a']}->{trunk['b']} is faster than "
-                    f"the {link_rate:g} Mb/s access links, so sessions "
-                    f"are access-limited and ACR exceeds the trunk "
-                    f"max-min share by design")
+    capacities, routes = topology(config)
+    for port, capacity in capacities.items():
+        if capacity > link_rate:
+            return (f"trunk {port} is faster than the {link_rate:g} "
+                    f"Mb/s access links, so sessions are access-limited "
+                    f"and ACR exceeds the trunk max-min share by design")
     if config.get("vbr") or config.get("cbr"):
         return "background cross-traffic perturbs the steady demand"
     if float(config.get("rm_loss", 0.0)) > 0.0:
@@ -94,7 +95,6 @@ def oracle_eligibility(config: Mapping[str, Any]) -> str | None:
                                 latest_start)
     if reason is not None:
         return reason
-    capacities, routes = topology_of(config)
     floors = {link: phantom.grant_floor_fraction * capacity
               for link, capacity in capacities.items()}
     return floor_reason(oracle_for_config(config), routes, floors)

@@ -17,8 +17,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Iterator
 
-from repro.scenarios.results import AtmRun, TcpRun
-
 #: Default histogram buckets: generic log-ish ladder wide enough for
 #: queue lengths (cells/packets), rates (Mb/s), and windows (bytes).
 DEFAULT_BUCKETS = (0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
@@ -237,9 +235,12 @@ def _sample(name: str, key: _LabelKey, value: float) -> str:
 # ----------------------------------------------------------------------
 def registry_from_run(run: Any) -> MetricsRegistry:
     """Build a registry from an executed scenario run handle."""
-    # imported here, not at module top: the fluid tier is optional for
-    # metrics consumers and must not become an obs-wide dependency
+    # imported here, not at module top: the simulation tiers are
+    # optional for metrics consumers and must not become obs-wide
+    # dependencies
     from repro.fluid.results import FluidRun, HybridRun
+    from repro.scenarios.generic import AtmRun
+    from repro.scenarios.tcp import TcpRun
 
     registry = MetricsRegistry()
     if isinstance(run, AtmRun):
@@ -265,7 +266,7 @@ def _register_sim(registry: MetricsRegistry, run: Any) -> None:
         sim.executed_events)
 
 
-def _register_atm(registry: MetricsRegistry, run: AtmRun) -> None:
+def _register_atm(registry: MetricsRegistry, run: Any) -> None:
     _register_sim(registry, run)
     for vc, session in sorted(run.net.sessions.items()):
         src, dst = session.source, session.destination
@@ -322,7 +323,7 @@ def _register_fluid(registry: MetricsRegistry, run: Any) -> None:
                                     probe, cohort=cohort.name)
 
 
-def _register_tcp(registry: MetricsRegistry, run: TcpRun) -> None:
+def _register_tcp(registry: MetricsRegistry, run: Any) -> None:
     _register_sim(registry, run)
     for name, flow in sorted(run.net.flows.items()):
         src = flow.source

@@ -28,11 +28,13 @@ import hashlib
 import json
 import sys
 from array import array
+from functools import partial
 from typing import Any, Mapping
 
 from repro.fluid.results import FluidRun, HybridRun
 from repro.perf.workloads import WORKLOADS
-from repro.scenarios.results import AtmRun, TcpRun
+from repro.scenarios.generic import AtmRun, build_atm
+from repro.scenarios.tcp import TcpRun, build_tcp
 from repro.sim.probe import Probe
 
 #: Fixture schema version; bump when the trace layout changes.
@@ -234,28 +236,33 @@ def compare_traces(expected: dict[str, Any],
     return problems
 
 
-def reference_problems(config: Mapping[str, Any],
-                       seed: int) -> list[str]:
+def reference_problems(config: Mapping[str, Any], seed: int,
+                       policy: str | None = None) -> list[str]:
     """Mismatches between the fast kernel and the evented reference on
-    one ``fuzz.generic`` scenario config (empty = identical).
+    one scenario config (empty = identical).
 
-    The config is built twice.  One copy runs to its ``duration`` with
-    :meth:`AtmNetwork.run <repro.atm.AtmNetwork.run>`; the other with a
-    ``max_events`` bound it never reaches, which is the evented
-    reference: a bounded run refuses inline advances and absorbed
-    deliveries.  Their traces (probe digests, counters,
-    ``executed_events``, final clock) must be equal.
+    The config renders on the ATM tier under its own ``algorithm`` keys,
+    as ``fuzz.generic`` renders it, or, given a router ``policy`` name
+    (a key of :data:`repro.exec.entries.TCP_POLICIES`), on the TCP tier,
+    which draws nothing at random and so ignores ``seed``.  It is built
+    twice.  One copy runs to its ``duration`` with the network's
+    ``run``; the other with a ``max_events`` bound it never reaches,
+    which is the evented reference: a bounded run refuses inline
+    advances and absorbed deliveries.  Their traces (probe digests,
+    counters, ``executed_events``, final clock) must be equal.
     """
-    from repro.exec.entries import _algorithm_factory
-    from repro.scenarios.generic import build_atm
+    from repro.exec.entries import _algorithm_factory, _policy_factory
 
-    factory = _algorithm_factory(config.get("algorithm", "phantom"),
-                                 config.get("algorithm_params"))
-    fast = build_atm(config, algorithm_factory=factory, seed=seed,
-                     run=False)
+    if policy is None:
+        render = partial(build_atm, config, seed=seed, algorithm_factory=(
+            _algorithm_factory(config.get("algorithm", "phantom"),
+                               config.get("algorithm_params"))))
+    else:
+        render = partial(build_tcp, config,
+                         policy_factory=_policy_factory(policy, None))
+    fast = render(run=False)
     fast.net.run(until=fast.duration)
-    reference = build_atm(config, algorithm_factory=factory, seed=seed,
-                          run=False)
+    reference = render(run=False)
     reference.net.start_meters()
     reference.net.sim.run(until=reference.duration, max_events=sys.maxsize)
     return compare_traces(trace_from_run("reference", 1.0, reference),

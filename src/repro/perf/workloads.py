@@ -29,7 +29,7 @@ from typing import Any, Callable
 from repro.core import PhantomAlgorithm
 from repro.scenarios.atm import onoff_config, staggered_config
 from repro.scenarios.generic import build_atm
-from repro.scenarios.tcp import drop_tail_policy, many_flows
+from repro.scenarios.tcp import build_tcp, drop_tail_policy, many_config
 
 #: Smallest scale at which every workload is still well-formed (E01's
 #: session stagger must fall inside the simulated horizon).
@@ -72,8 +72,9 @@ def _run_e02(scale: float, tracer=None):
 
 
 def _run_e11(scale: float, tracer=None):
-    return many_flows(drop_tail_policy(), n_flows=4,
-                      duration=25.0 * _check_scale(scale), tracer=tracer)
+    return build_tcp(many_config(n_flows=4,
+                                 duration=25.0 * _check_scale(scale)),
+                     policy_factory=drop_tail_policy(), tracer=tracer)
 
 
 def _atm_cells(run) -> int:

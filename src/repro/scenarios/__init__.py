@@ -1,8 +1,10 @@
-"""The paper's evaluation configurations.
+"""The paper's evaluation configurations, as :mod:`repro.scenarios.config`
+configs, and their renderers.
 
-:mod:`repro.scenarios.atm` describes the ATM configurations as configs
-that :func:`repro.scenarios.generic.build_atm` renders cell by cell;
-:mod:`repro.scenarios.tcp` builds the TCP configurations.
+:mod:`repro.scenarios.atm` holds the ATM configurations, which
+:func:`repro.scenarios.generic.build_atm` renders cell by cell;
+:mod:`repro.scenarios.tcp` holds the TCP ones, whose names repeat the
+ATM ones, and :func:`~repro.scenarios.tcp.build_tcp`.
 """
 
 import importlib
@@ -15,17 +17,13 @@ if TYPE_CHECKING:
                                      parking_config, rtt_config,
                                      staggered_config, transient_config,
                                      weighted_config)
-    from repro.scenarios.generic import build_atm
-    from repro.scenarios.results import AtmRun, TcpRun
+    from repro.scenarios.generic import AtmRun, build_atm
     from repro.scenarios.tcp import (TCP_PHANTOM_PARAMS, TCP_RENO_PARAMS,
-                                     drop_tail_policy, many_flows,
-                                     mixed_stacks, rtt_fairness,
+                                     TcpRun, build_tcp, drop_tail_policy,
                                      selective_discard_policy,
                                      selective_efci_policy,
                                      selective_quench_policy,
-                                     selective_red_policy,
-                                     tcp_parking_lot, two_way,
-                                     vegas_thresholds)
+                                     selective_red_policy)
     from repro.scenarios.workloads import OnOffDriver
 
 #: Public name -> the module it is imported from on first use.
@@ -34,16 +32,13 @@ _EXPORTS = {name: module for module, names in {
                             "parking_config", "rtt_config",
                             "staggered_config", "transient_config",
                             "weighted_config"),
-    "repro.scenarios.generic": ("build_atm",),
-    "repro.scenarios.results": ("AtmRun", "TcpRun"),
+    "repro.scenarios.generic": ("AtmRun", "build_atm"),
     "repro.scenarios.tcp": ("TCP_PHANTOM_PARAMS", "TCP_RENO_PARAMS",
-                            "drop_tail_policy", "many_flows",
-                            "mixed_stacks", "rtt_fairness",
+                            "TcpRun", "build_tcp", "drop_tail_policy",
                             "selective_discard_policy",
                             "selective_efci_policy",
                             "selective_quench_policy",
-                            "selective_red_policy", "tcp_parking_lot",
-                            "two_way", "vegas_thresholds"),
+                            "selective_red_policy"),
     "repro.scenarios.workloads": ("OnOffDriver",),
 }.items() for name in names}
 

@@ -1,43 +1,12 @@
-"""Generic, config-driven ATM scenario construction.
+"""Config-driven ATM scenario construction.
 
-:func:`build_atm` reads a fully self-describing **scenario config** — a
-plain JSON-able mapping — and assembles any single-path topology the
-packet substrate supports: chains, parking lots, and asymmetric meshes
-with per-trunk rates and delays, greedy, on/off and joining/leaving ABR
-sessions, CBR/VBR background streams, and RM-cell loss on the backward
-access links.
-
-The paper's configurations are such configs
-(:mod:`repro.scenarios.atm`), and so is every scenario the fuzzer
-(:mod:`repro.fuzz`) emits: the registry's ATM entries and
-``fuzz.generic`` all call :func:`build_atm` inside the worker.  An
-inline config's canonical JSON is part of the task fingerprint, so
-generated runs cache exactly like registered ones.
-:func:`repro.fluid.scenarios.build_fluid` renders the same configs on
-the fluid tier.
-
-Config schema (all keys except ``switches``/``trunks``/``sessions``
-optional)::
-
-    {"switches": ["S1", "S2"],
-     "trunks": [{"a": "S1", "b": "S2", "rate": 150.0, "delay": 1e-5}],
-     "sessions": [{"vc": "s0", "route": ["S1", "S2"], "start": 0.0,
-                   "stop": 0.3, "access_delay": 1e-5,
-                   "params": {"weight": 2.0},
-                   "onoff": {"on": 0.02, "off": 0.02,
-                             "stream": "onoff.s0"}}],
-     "cbr": [{"vc": "bg0", "route": ["S1", "S2"], "rate": 40.0,
-              "start": 0.0, "stop": 0.2}],
-     "vbr": [{"vc": "vb0", "route": ["S1", "S2"], "peak": 40.0,
-              "mean_on": 0.01, "mean_off": 0.02}],
-     "algorithm": "phantom", "algorithm_params": {"interval": 1e-3},
-     "link_rate": 150.0, "rm_loss": 0.0, "duration": 0.25,
-     "bottleneck": ["S1", "S2"]}
-
-A session's ``stop`` silences its source at that time (default: never);
-it cannot be combined with ``onoff``, whose driver would wake the
-source again.  An on/off session's ``stream`` names the random stream
-its phases are drawn from (default ``onoff.<vc>``).
+:func:`build_atm` renders a :mod:`repro.scenarios.config` config cell by
+cell: chains, parking lots and asymmetric meshes, greedy, on/off and
+joining/leaving ABR sessions, CBR/VBR background, and RM-cell loss on
+the backward access links.  The registry's ATM entries and
+``fuzz.generic`` all call it inside the worker; an inline config's
+canonical JSON is part of the task fingerprint, so generated runs cache
+like registered ones.
 
 Randomness (on/off periods, VBR state durations, RM-loss coin flips) is
 drawn exclusively from per-name :class:`repro.sim.rng.RngStreams`
@@ -48,89 +17,62 @@ another's sample path (the property the shrinker relies on).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.analysis import jain_index, queue_stats, utilization
 from repro.atm import AbrParams, AtmNetwork
 from repro.atm.link import Link
-from repro.scenarios.results import AtmRun
+from repro.atm.port import OutputPort
+from repro.scenarios.config import bottleneck, validate_config
 from repro.scenarios.workloads import OnOffDriver
-from repro.sim import RngStreams
+from repro.sim import Probe, RngStreams
 
 
-def validate_config(config: Mapping[str, Any]) -> list[str]:
-    """Structural problems with a scenario config (empty = valid).
+@dataclass
+class AtmRun:
+    """A completed ATM scenario."""
 
-    Deep semantic validation (capacities positive, routes connected) is
-    left to network construction, which raises with precise messages;
-    this check catches the shape errors that would otherwise surface as
-    confusing ``TypeError``s deep inside the builder.
-    """
-    problems: list[str] = []
-    if not isinstance(config, Mapping):
-        return ["config is not a mapping"]
-    for key in ("switches", "trunks", "sessions"):
-        value = config.get(key)
-        if not isinstance(value, (list, tuple)) or not value:
-            problems.append(f"{key!r} must be a non-empty list")
-    for i, trunk in enumerate(config.get("trunks") or []):
-        if not isinstance(trunk, Mapping) or "a" not in trunk \
-                or "b" not in trunk:
-            problems.append(f"trunks[{i}] needs 'a' and 'b' switch names")
-    # trunks are bidirectional port pairs, so adjacency is symmetric
-    adjacent: set[tuple[str, str]] = set()
-    for trunk in config.get("trunks") or []:
-        if isinstance(trunk, Mapping) and "a" in trunk and "b" in trunk:
-            adjacent.add((trunk["a"], trunk["b"]))
-            adjacent.add((trunk["b"], trunk["a"]))
-    for i, session in enumerate(config.get("sessions") or []):
-        if not isinstance(session, Mapping):
-            problems.append(f"sessions[{i}] is not a mapping")
-            continue
-        if not session.get("vc"):
-            problems.append(f"sessions[{i}] needs a 'vc' name")
-        if session.get("onoff") and session.get("stop") is not None:
-            problems.append(
-                f"sessions[{i}] cannot combine 'onoff' with 'stop'")
-        route = session.get("route")
-        if not isinstance(route, (list, tuple)) or len(route) < 2:
-            problems.append(
-                f"sessions[{i}] route must list >= 2 switches")
-            continue
-        # routes name every hop; a missing intermediate switch would
-        # otherwise surface as a KeyError deep in network wiring
-        for a, b in zip(route, route[1:]):
-            if (a, b) not in adjacent:
-                problems.append(
-                    f"sessions[{i}] route hop {a}->{b} has no trunk")
-    duration = config.get("duration", 0.25)
-    if not isinstance(duration, (int, float)) or duration <= 0:
-        problems.append(f"duration must be positive, got {duration!r}")
-    rm_loss = config.get("rm_loss", 0.0)
-    if not isinstance(rm_loss, (int, float)) or not 0.0 <= rm_loss < 1.0:
-        problems.append(f"rm_loss must be in [0, 1), got {rm_loss!r}")
-    return problems
+    net: AtmNetwork
+    bottleneck: OutputPort
+    duration: float
 
+    @property
+    def queue_probe(self) -> Probe:
+        return self.bottleneck.queue_probe
 
-def _session_params(overrides: Mapping[str, Any] | None) -> AbrParams:
-    return AbrParams(**dict(overrides or {}))
+    @property
+    def macr_probe(self) -> Probe | None:
+        return getattr(self.bottleneck.algorithm, "macr_probe", None)
 
+    def steady_window(self, fraction: float = 0.25) -> tuple[float, float]:
+        """The last ``fraction`` of the run, where steady state is read."""
+        return self.duration * (1 - fraction), self.duration
 
-def _bottleneck_trunk(net: AtmNetwork, config: Mapping[str, Any]):
-    """The port whose queue/MACR series the run handle reports.
+    def steady_rates(self, fraction: float = 0.25) -> dict[str, float]:
+        """Mean goodput per session over the steady window (Mb/s)."""
+        start, end = self.steady_window(fraction)
+        return {
+            vc: session.rate_probe.window(start, end).mean()
+            for vc, session in self.net.sessions.items()
+        }
 
-    ``bottleneck: [a, b]`` picks one explicitly; the default is the
-    trunk crossed by the most sessions (ties broken by name, so the
-    choice is deterministic)."""
-    chosen = config.get("bottleneck")
-    if chosen:
-        return net.trunk(chosen[0], chosen[1])
-    crossings: dict[str, int] = {name: 0 for name in net.capacities()}
-    for path in net.routes().values():
-        for link in path:
-            crossings[link] += 1
-    busiest = max(sorted(crossings), key=lambda name: crossings[name])
-    a, b = busiest.split("->")
-    return net.trunk(a, b)
+    def jain(self, fraction: float = 0.25) -> float:
+        return jain_index(self.steady_rates(fraction).values())
+
+    def utilization(self, fraction: float = 0.25) -> float:
+        """Steady goodput of the sessions crossing the bottleneck, over
+        its rate."""
+        start, end = self.steady_window(fraction)
+        routes = self.net.routes()
+        probes = [session.rate_probe
+                  for vc, session in self.net.sessions.items()
+                  if self.bottleneck.name in routes[vc]]
+        return utilization(probes, self.bottleneck.rate_mbps, start, end)
+
+    def queue_stats(self, start: float = 0.0,
+                    end: float | None = None) -> dict[str, float]:
+        return queue_stats(self.queue_probe, start, end or self.duration)
 
 
 def _inject_rm_loss(net: AtmNetwork, rm_loss: float,
@@ -188,7 +130,7 @@ def build_atm(config: Mapping[str, Any], *, algorithm_factory,
         session = net.add_session(
             vc, route=list(entry["route"]),
             start=float(entry.get("start", 0.0)),
-            params=_session_params(entry.get("params")),
+            params=AbrParams(**dict(entry.get("params") or {})),
             access_delay=entry.get("access_delay"))
         onoff = entry.get("onoff")
         if onoff:
@@ -218,7 +160,7 @@ def build_atm(config: Mapping[str, Any], *, algorithm_factory,
         _inject_rm_loss(net, rm_loss, streams)
 
     duration = float(config.get("duration", 0.25))
-    result = AtmRun(net=net, bottleneck=_bottleneck_trunk(net, config),
+    result = AtmRun(net=net, bottleneck=net.trunk(*bottleneck(config)),
                     duration=duration)
     if run:
         net.run(until=duration)

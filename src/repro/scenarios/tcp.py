@@ -1,4 +1,10 @@
-"""TCP scenario builders — the configurations of the paper's Section 4.3.
+"""The TCP configurations of the paper's Section 4.3, and their renderer.
+
+Each configuration is a function returning a scenario config
+(:mod:`repro.scenarios.config`): routers as ``switches``, flows as
+``sessions``, the trunk rate as ``link_rate``.  :func:`build_tcp`
+renders it as greedy TCP flows whose routers' trunk ports all run one
+queue policy.
 
 The router-side control loop runs on coarser timescales than the ATM one
 (TCP's CR stamp is an acked-payload average), so the MACR parameters used
@@ -9,12 +15,15 @@ mechanism.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.core import PhantomParams
-from repro.scenarios.results import TcpRun
-from repro.tcp import (DropTail, RenoParams, SelectiveDiscard,
+from repro.analysis import jain_index, queue_stats
+from repro.core.params import PhantomParams
+from repro.scenarios.config import bottleneck, validate_config
+from repro.sim import Probe
+from repro.tcp import (DropTail, PacketPort, RenoParams, SelectiveDiscard,
                        SelectiveEfci, SelectiveQuench, SelectiveRed,
                        TcpNetwork, TcpRenoSource, TcpTahoeSource,
                        TcpVegasSource, VegasParams)
@@ -37,6 +46,13 @@ TCP_PHANTOM_PARAMS = PhantomParams(interval=0.05, alpha_inc=0.25,
 #: Reno configuration used in all Section-4 scenarios: the paper's
 #: 512-byte packets with a 20 ms CR measurement interval.
 TCP_RENO_PARAMS = RenoParams(rate_interval=0.02)
+
+#: A session's ``stack`` -> its sender class and that sender's params.
+STACKS: dict[str, tuple[type[TcpRenoSource], type[RenoParams]]] = {
+    "reno": (TcpRenoSource, RenoParams),
+    "tahoe": (TcpTahoeSource, RenoParams),
+    "vegas": (TcpVegasSource, VegasParams),
+}
 
 
 # The factories return functools.partial objects bound to module-level
@@ -78,178 +94,213 @@ def selective_red_policy(buffer_packets: int = 100,
                    params=params, **red_kwargs)
 
 
-def rtt_fairness(policy_factory: PolicyFactory,
-                 access_delays: tuple[float, ...] = (1e-3, 4e-3),
-                 duration: float = 30.0,
-                 trunk_rate: float = 10.0,
-                 params: RenoParams = TCP_RENO_PARAMS,
-                 tracer=None,
-                 run: bool = True) -> TcpRun:
-    """Flows with different RTTs share one bottleneck (Fig. 14).
+# ----------------------------------------------------------------------
+# the configurations
+# ----------------------------------------------------------------------
+#: The one-bottleneck route most configurations share.
+_ROUTE = ["R1", "R2"]
+
+
+def _flow(name: str, route: Sequence[str] = _ROUTE,
+          **keys: Any) -> dict[str, Any]:
+    return {"vc": name, "route": list(route), **keys}
+
+
+def _one_trunk(flows: list[dict[str, Any]], duration: float,
+               trunk_rate: float) -> dict[str, Any]:
+    return {"switches": list(_ROUTE), "trunks": [{"a": "R1", "b": "R2"}],
+            "sessions": flows, "link_rate": trunk_rate,
+            "duration": duration}
+
+
+def rtt_config(access_delays: Sequence[float] = (1e-3, 4e-3),
+               duration: float = 30.0, trunk_rate: float = 10.0
+               ) -> dict[str, Any]:
+    """E09-E10, E12-E13: flows with different RTTs share one bottleneck
+    (Fig. 14).
 
     Drop-tail starves the long-RTT flow; Selective Discard hands both the
     same grant.
     """
-    net = TcpNetwork(policy_factory=policy_factory, trunk_rate=trunk_rate,
-                     tracer=tracer)
-    net.add_router("R1")
-    net.add_router("R2")
-    net.connect("R1", "R2")
-    for i, delay in enumerate(access_delays):
-        net.add_flow(f"rtt{i}", route=["R1", "R2"],
-                     access_delay=delay, params=params)
-    result = TcpRun(net=net, bottleneck=net.trunk("R1", "R2"),
-                    duration=duration)
-    if run:
-        net.run(until=duration)
-    return result
+    return _one_trunk([_flow(f"rtt{i}", access_delay=delay)
+                       for i, delay in enumerate(access_delays)],
+                      duration, trunk_rate)
 
 
-def tcp_parking_lot(policy_factory: PolicyFactory,
-                    hops: int = 3,
-                    duration: float = 30.0,
-                    trunk_rate: float = 10.0,
-                    params: RenoParams = TCP_RENO_PARAMS,
-                    tracer=None,
-                    run: bool = True) -> TcpRun:
-    """Multi-router beat-down test (Fig. 17): one long flow crosses all
-    routers, one cross flow per trunk."""
+def parking_config(hops: int = 3, duration: float = 30.0,
+                   trunk_rate: float = 10.0) -> dict[str, Any]:
+    """E09-E10: multi-router beat-down test (Fig. 17): one long flow
+    crosses all routers, one cross flow per trunk."""
     if hops < 2:
         raise ValueError(f"need >= 2 hops, got {hops!r}")
-    net = TcpNetwork(policy_factory=policy_factory, trunk_rate=trunk_rate,
-                     tracer=tracer)
     names = [f"R{i}" for i in range(1, hops + 2)]
-    for name in names:
-        net.add_router(name)
-    for a, b in zip(names, names[1:]):
-        net.connect(a, b)
-    net.add_flow("long", route=names, params=params)
-    for i, (a, b) in enumerate(zip(names, names[1:])):
-        net.add_flow(f"cross{i}", route=[a, b], params=params)
-    result = TcpRun(net=net, bottleneck=net.trunk(names[0], names[1]),
-                    duration=duration)
-    if run:
-        net.run(until=duration)
-    return result
+    hop_pairs = list(zip(names, names[1:]))
+    flows = [_flow("long", route=names)]
+    flows += [_flow(f"cross{i}", route=pair)
+              for i, pair in enumerate(hop_pairs)]
+    return {"switches": names,
+            "trunks": [{"a": a, "b": b} for a, b in hop_pairs],
+            "sessions": flows, "link_rate": trunk_rate,
+            "duration": duration}
 
 
-def vegas_thresholds(policy_factory: PolicyFactory,
-                     hungry: tuple[float, float] = (8.0, 10.0),
-                     modest: tuple[float, float] = (1.0, 2.0),
-                     duration: float = 30.0,
-                     trunk_rate: float = 10.0,
-                     tracer=None,
-                     run: bool = True) -> TcpRun:
-    """The paper's Vegas sensitivity example (§4 discussion of [BP95]).
+def many_config(n_flows: int = 4, duration: float = 30.0,
+                trunk_rate: float = 10.0, access_delay: float = 2e-3
+                ) -> dict[str, Any]:
+    """E11: n equal flows through one bottleneck — goodput split and
+    queue."""
+    if n_flows < 1:
+        raise ValueError(f"need >= 1 flow, got {n_flows!r}")
+    return _one_trunk([_flow(f"f{i}", access_delay=access_delay)
+                       for i in range(n_flows)], duration, trunk_rate)
 
-    Two Vegas flows whose delay thresholds don't overlap — the lower
-    threshold α of one exceeds the upper threshold β of the other — so
-    Vegas itself has "no mechanism that would balance them": the hungry
-    flow parks α..β packets in the queue and the modest flow sees an
-    inflated RTT and retreats.  A Phantom router mechanism equalises
-    them by rate, independent of source thresholds.
+
+def vegas_config(hungry: Sequence[float] = (8.0, 10.0),
+                 modest: Sequence[float] = (1.0, 2.0),
+                 duration: float = 30.0, trunk_rate: float = 10.0
+                 ) -> dict[str, Any]:
+    """E21: the paper's Vegas sensitivity example (§4, [BP95]).
+
+    Two Vegas flows whose thresholds don't overlap (α of one above β of
+    the other): Vegas has "no mechanism that would balance them", while
+    a Phantom router equalises them by rate.
     """
-    net = TcpNetwork(policy_factory=policy_factory, trunk_rate=trunk_rate,
-                     tracer=tracer)
-    net.add_router("R1")
-    net.add_router("R2")
-    net.connect("R1", "R2")
-    for name, (alpha, beta) in (("hungry", hungry), ("modest", modest)):
-        net.add_flow(name, route=["R1", "R2"], access_delay=2e-3,
-                     params=VegasParams(rate_interval=0.02,
-                                        vegas_alpha=alpha,
-                                        vegas_beta=beta),
-                     source_class=TcpVegasSource)
-    result = TcpRun(net=net, bottleneck=net.trunk("R1", "R2"),
-                    duration=duration)
-    if run:
-        net.run(until=duration)
-    return result
+    return _one_trunk([
+        _flow(name, access_delay=2e-3, stack="vegas",
+              params={"vegas_alpha": alpha, "vegas_beta": beta})
+        for name, (alpha, beta) in (("hungry", hungry),
+                                    ("modest", modest))],
+        duration, trunk_rate)
 
 
-def mixed_stacks(policy_factory: PolicyFactory,
-                 duration: float = 30.0,
-                 trunk_rate: float = 10.0,
-                 tracer=None,
-                 run: bool = True) -> TcpRun:
-    """Reno, Tahoe and Vegas sharing a bottleneck.
+def mixed_config(duration: float = 30.0, trunk_rate: float = 10.0
+                 ) -> dict[str, Any]:
+    """E22: Reno, Tahoe and Vegas sharing a bottleneck.
 
     The abstract's interoperability claim: the router-side mechanism
     "easily inter-operates with current TCP flow control mechanisms",
     equalising flows whatever source stack they run.
     """
-    net = TcpNetwork(policy_factory=policy_factory, trunk_rate=trunk_rate,
-                     tracer=tracer)
-    net.add_router("R1")
-    net.add_router("R2")
-    net.connect("R1", "R2")
-    stacks = {"reno": TcpRenoSource, "tahoe": TcpTahoeSource,
-              "vegas": TcpVegasSource}
-    for name, source_class in stacks.items():
-        net.add_flow(name, route=["R1", "R2"], access_delay=2e-3,
-                     params=TCP_RENO_PARAMS, source_class=source_class)
-    result = TcpRun(net=net, bottleneck=net.trunk("R1", "R2"),
-                    duration=duration)
-    if run:
-        net.run(until=duration)
-    return result
+    return _one_trunk([_flow(stack, access_delay=2e-3, stack=stack)
+                       for stack in ("reno", "tahoe", "vegas")],
+                      duration, trunk_rate)
 
 
-def two_way(policy_factory: PolicyFactory,
-            flows_per_direction: int = 2,
-            duration: float = 30.0,
-            trunk_rate: float = 10.0,
-            tracer=None,
-            run: bool = True) -> TcpRun:
-    """Data in both directions: each trunk queue carries one direction's
-    data *and* the other direction's ACKs.
-
-    The classic stressor for router mechanisms — ACKs compressed behind
-    data bursts make the reverse flows bursty.  The Phantom policies see
-    ACK bytes in their residual measurement and data packets in their
-    conformance checks, so the mechanism must keep working.
-    """
+def two_way_config(flows_per_direction: int = 2, duration: float = 30.0,
+                   trunk_rate: float = 10.0) -> dict[str, Any]:
+    """E26: data in both directions, so each trunk queue carries one
+    direction's data *and* the other direction's ACKs (ACK compression
+    makes the reverse flows bursty); the Phantom policies must keep
+    working."""
     if flows_per_direction < 1:
         raise ValueError(
             f"need >= 1 flow per direction, got {flows_per_direction!r}")
-    net = TcpNetwork(policy_factory=policy_factory, trunk_rate=trunk_rate,
-                     tracer=tracer)
-    net.add_router("R1")
-    net.add_router("R2")
-    net.connect("R1", "R2")
+    flows = []
     for i in range(flows_per_direction):
-        net.add_flow(f"east{i}", route=["R1", "R2"], access_delay=2e-3,
-                     params=TCP_RENO_PARAMS)
-        net.add_flow(f"west{i}", route=["R2", "R1"], access_delay=2e-3,
-                     params=TCP_RENO_PARAMS)
-    result = TcpRun(net=net, bottleneck=net.trunk("R1", "R2"),
-                    duration=duration)
-    if run:
-        net.run(until=duration)
-    return result
+        flows.append(_flow(f"east{i}", access_delay=2e-3))
+        flows.append(_flow(f"west{i}", route=["R2", "R1"],
+                           access_delay=2e-3))
+    return _one_trunk(flows, duration, trunk_rate)
 
 
-def many_flows(policy_factory: PolicyFactory,
-               n_flows: int = 4,
-               duration: float = 30.0,
-               trunk_rate: float = 10.0,
-               access_delay: float = 2e-3,
-               params: RenoParams = TCP_RENO_PARAMS,
-               tracer=None,
-               run: bool = True) -> TcpRun:
-    """n equal flows through one bottleneck — goodput split and queue."""
-    if n_flows < 1:
-        raise ValueError(f"need >= 1 flow, got {n_flows!r}")
-    net = TcpNetwork(policy_factory=policy_factory, trunk_rate=trunk_rate,
+# ----------------------------------------------------------------------
+# the renderer
+# ----------------------------------------------------------------------
+@dataclass
+class TcpRun:
+    """A completed TCP scenario."""
+
+    net: TcpNetwork
+    bottleneck: PacketPort
+    duration: float
+
+    @property
+    def queue_probe(self) -> Probe:
+        return self.bottleneck.queue_probe
+
+    @property
+    def macr_probe(self) -> Probe | None:
+        return getattr(self.bottleneck.policy, "macr_probe", None)
+
+    def goodputs(self) -> dict[str, float]:
+        """Whole-run goodput per flow (Mb/s)."""
+        return {
+            name: flow.sink.bytes_received * 8 / self.duration / 1e6
+            for name, flow in self.net.flows.items()
+        }
+
+    def jain(self) -> float:
+        return jain_index(self.goodputs().values())
+
+    def total_goodput(self) -> float:
+        return sum(self.goodputs().values())
+
+    def queue_stats(self, start: float = 0.0,
+                    end: float | None = None) -> dict[str, float]:
+        return queue_stats(self.queue_probe, start, end or self.duration)
+
+
+def _refuse_untranslatable(config: Mapping[str, Any]) -> None:
+    """Raise on what a config says that greedy TCP flows cannot do."""
+    for key in ("cbr", "vbr", "rm_loss"):
+        if config.get(key):
+            raise ValueError(f"the TCP tier cannot render {key!r}")
+    for entry in config["sessions"]:
+        for key in ("onoff", "stop"):
+            if entry.get(key) not in (None, {}):
+                raise ValueError(f"session {entry['vc']!r}: the TCP tier "
+                                 f"cannot render {key!r}")
+        if entry.get("stack", "reno") not in STACKS:
+            raise ValueError(f"session {entry['vc']!r}: unknown 'stack' "
+                             f"{entry['stack']!r}; known: "
+                             f"{', '.join(STACKS)}")
+
+
+def build_tcp(config: Mapping[str, Any], *, policy_factory: PolicyFactory,
+              tracer=None, run: bool = True) -> TcpRun:
+    """Build (and by default run) the TCP network a config describes.
+
+    Every trunk port runs a policy made by ``policy_factory``, which
+    also sets its buffer (``buffer_cells`` and ``algorithm`` are ignored).
+    CBR/VBR, RM-cell loss, on/off sessions, departures and an unknown
+    ``stack`` are refused.
+    """
+    problems = validate_config(config)
+    if problems:
+        raise ValueError("invalid scenario config: " + "; ".join(problems))
+    _refuse_untranslatable(config)
+    net = TcpNetwork(policy_factory=policy_factory,
+                     trunk_rate=float(config.get("link_rate", 150.0)),
                      tracer=tracer)
-    net.add_router("R1")
-    net.add_router("R2")
-    net.connect("R1", "R2")
-    for i in range(n_flows):
-        net.add_flow(f"f{i}", route=["R1", "R2"],
-                     access_delay=access_delay, params=params)
-    result = TcpRun(net=net, bottleneck=net.trunk("R1", "R2"),
+    for name in config["switches"]:
+        net.add_router(name)
+    for trunk in config["trunks"]:
+        net.connect(trunk["a"], trunk["b"], rate=trunk.get("rate"),
+                    delay=trunk.get("delay"))
+    for entry in config["sessions"]:
+        source_class, params_class = STACKS[entry.get("stack", "reno")]
+        params = params_class(**{**asdict(TCP_RENO_PARAMS),
+                                 **dict(entry.get("params") or {})})
+        net.add_flow(entry["vc"], route=list(entry["route"]),
+                     start=float(entry.get("start", 0.0)), params=params,
+                     access_delay=entry.get("access_delay"),
+                     source_class=source_class)
+    duration = float(config.get("duration", 0.25))
+    result = TcpRun(net=net, bottleneck=net.trunk(*bottleneck(config)),
                     duration=duration)
     if run:
         net.run(until=duration)
     return result
+
+
+def rtt_fairness(policy_factory: PolicyFactory,
+                 access_delays: tuple[float, ...] = (1e-3, 4e-3),
+                 duration: float = 30.0, trunk_rate: float = 10.0,
+                 tracer=None, run: bool = True) -> TcpRun:
+    """:func:`rtt_config` rendered by :func:`build_tcp`.
+
+    Kept for the ``tcp_discard`` workload of ``benchmarks/e2e``, which
+    imports it; everything else renders the config.
+    """
+    return build_tcp(rtt_config(access_delays, duration, trunk_rate),
+                     policy_factory=policy_factory, tracer=tracer, run=run)

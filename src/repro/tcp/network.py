@@ -185,7 +185,10 @@ class TcpNetwork:
     # ------------------------------------------------------------------
     # measurement and execution
     # ------------------------------------------------------------------
-    def _start_meters(self) -> None:
+    def start_meters(self) -> None:
+        """Arm the goodput meters once (before driving :attr:`sim`)."""
+        if self._meters_started:
+            return
         self._meters_started = True
         counts: dict[str, int] = {}
 
@@ -199,6 +202,5 @@ class TcpNetwork:
         PeriodicTimer(self.sim, self.meter_interval, sample).start()
 
     def run(self, until: float) -> None:
-        if not self._meters_started:
-            self._start_meters()
+        self.start_meters()
         self.sim.run(until=until)

@@ -17,7 +17,7 @@ from repro.atm.link import ABSORB_SLACK
 from repro.core import PhantomAlgorithm
 from repro.obs import Tracer
 from repro.perf.golden import trace_from_run
-from repro.scenarios.results import AtmRun
+from repro.scenarios.generic import AtmRun
 from repro.sim import PeriodicTimer, Simulator
 
 from tests.atm.test_link import Collector

@@ -178,6 +178,23 @@ def test_fluid_stepper_edit_never_touches_packet_tasks(copied_tree):
     assert after["tcp"] == before["tcp"]
 
 
+def test_one_packet_stack_edit_never_touches_the_other(copied_tree):
+    # each run handle sits beside its renderer, so no ATM closure holds
+    # a TCP module and no TCP closure an ATM one
+    before = _fingerprints(copied_tree)
+    with (copied_tree / "tcp" / "router.py").open("a") as fh:
+        fh.write("\n# touched by the invalidation test\n")
+    after = _fingerprints(copied_tree)
+    assert after["tcp"] != before["tcp"]
+    assert after["atm"] == before["atm"]
+    assert after["capc"] == before["capc"]
+    with (copied_tree / "atm" / "port.py").open("a") as fh:
+        fh.write("\n# touched by the invalidation test\n")
+    again = _fingerprints(copied_tree)
+    assert again["atm"] != after["atm"]
+    assert again["tcp"] == after["tcp"]
+
+
 def test_hybrid_edit_invalidates_only_hybrid(copied_tree):
     before = _fingerprints(copied_tree)
     with (copied_tree / "fluid" / "hybrid.py").open("a") as fh:

@@ -1,8 +1,10 @@
 """Fluid stepper and model: fixed points, scaling, and determinism."""
 
+import random
+
 import pytest
 
-from repro.core import phantom_equilibrium_rate
+from repro.core import PhantomAlgorithm, phantom_equilibrium_rate
 from repro.fluid import (CELL_BITS, FluidNetwork, cells_to_mbps,
                          rate_cells_per_interval)
 from repro.fluid.scenarios import build_fluid, many_flows
@@ -10,6 +12,7 @@ from repro.perf.golden import probe_digest
 from repro.scenarios.atm import (background_config, onoff_config,
                                  parking_config, staggered_config,
                                  transient_config)
+from repro.scenarios.generic import build_atm
 
 
 # ----------------------------------------------------------------------
@@ -170,6 +173,30 @@ def test_onoff_same_seed_is_bit_identical():
 
 def test_onoff_seed_changes_the_trajectory():
     assert _onoff_digests(7) != _onoff_digests(8)
+
+
+def test_a_default_stream_gives_both_tiers_the_same_phases(monkeypatch):
+    # generated on/off sessions leave their stream at "onoff.<vc>"; the
+    # fluid cohort must draw the packet driver's phase durations from it
+    config = {"switches": ["S1", "S2"], "trunks": [{"a": "S1", "b": "S2"}],
+              "sessions": [{"vc": "s0", "route": ["S1", "S2"],
+                            "onoff": {"on": 0.01, "off": 0.01}}],
+              "duration": 0.1}
+    drawn: list[float] = []
+    expovariate = random.Random.expovariate
+
+    def recording(rng, lambd):
+        drawn.append(expovariate(rng, lambd))
+        return drawn[-1]
+
+    monkeypatch.setattr(random.Random, "expovariate", recording)
+    build_atm(config, algorithm_factory=PhantomAlgorithm, seed=3)
+    packet = drawn[:]
+    drawn.clear()
+    build_fluid(config, seed=3)
+    shared = min(len(packet), len(drawn))
+    assert shared >= 4
+    assert drawn[:shared] == packet[:shared]
 
 
 def test_idle_reset_restarts_from_icr():

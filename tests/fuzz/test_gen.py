@@ -7,7 +7,7 @@ import pytest
 from repro.exec.spec import derive_seed
 from repro.fuzz.gen import (SCENARIO, generate_batch, generate_config,
                             session_probes)
-from repro.scenarios.generic import validate_config
+from repro.scenarios.config import validate_config
 
 
 def test_same_seed_same_batch():

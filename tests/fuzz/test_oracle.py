@@ -8,10 +8,11 @@ from repro.atm.params import AbrParams
 from repro.core import PhantomAlgorithm, PhantomParams
 from repro.core.fairness import max_min_allocation
 from repro.fuzz.gen import generate_batch
-from repro.fuzz.oracle import oracle_for_config, topology_of
+from repro.fuzz.oracle import oracle_for_config
 from repro.obs.health import oracle_allocation
 from repro.scenarios.atm import (onoff_config, parking_config, rtt_config,
                                  staggered_config, transient_config)
+from repro.scenarios.config import topology
 from repro.scenarios.generic import build_atm
 
 from tests.fuzz.fahmy import fair_share
@@ -105,7 +106,7 @@ def test_agrees_with_water_filling_on_generated_topologies():
     checked = 0
     for spec in generate_batch(2, 30):
         config = spec.config
-        capacities, routes = topology_of(config)
+        capacities, routes = topology(config)
         weights = {}
         minimums = {}
         for session in config["sessions"]:
@@ -160,19 +161,6 @@ def test_agrees_with_the_health_oracle_on_curated_builders(builder):
 # ----------------------------------------------------------------------
 # config wiring: ports, PCR clamp, backward-RM tax
 # ----------------------------------------------------------------------
-
-def test_topology_of_exports_bidirectional_ports():
-    capacities, routes = topology_of({
-        "link_rate": 100.0,
-        "trunks": [{"a": "S1", "b": "S2"},
-                   {"a": "S2", "b": "S3", "rate": 150.0}],
-        "sessions": [{"vc": "s0", "route": ["S1", "S2", "S3"]},
-                     {"vc": "s1", "route": ["S3", "S2"]}],
-    })
-    assert capacities == {"S1->S2": 100.0, "S2->S1": 100.0,
-                          "S2->S3": 150.0, "S3->S2": 150.0}
-    assert routes == {"s0": ["S1->S2", "S2->S3"], "s1": ["S3->S2"]}
-
 
 def test_one_directional_config_sees_no_rm_tax():
     # both sessions flow the same way: their backward RM cells ride

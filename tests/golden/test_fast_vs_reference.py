@@ -7,9 +7,11 @@ traces must be equal.  The first configs of seeds 0 and 1 cover every
 axis the generator draws: CBR and VBR background traffic, RM-cell loss,
 on/off sessions, binary Phantom and the baselines.  The paper's seven
 ATM configurations add what the generator does not draw: joins and
-leaves, weighted sessions, E02's named on/off streams.  Horizons are
-capped to keep the suite fast; ``benchmarks/perf/fast_vs_reference.py``
-runs full horizons over a larger batch and every ATM suite row.
+leaves, weighted sessions, E02's named on/off streams.  The six TCP
+configurations, under drop-tail and Selective Discard, cover the TCP
+router's inline train draining.  Horizons are capped to keep the suite
+fast; ``benchmarks/perf/fast_vs_reference.py`` runs full horizons over
+a larger batch and every suite row.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 
 from repro.fuzz.gen import generate_batch
 from repro.perf.golden import reference_problems
+from repro.scenarios import tcp
 from repro.scenarios.atm import (background_config, onoff_config,
                                  parking_config, rtt_config,
                                  staggered_config, transient_config,
@@ -50,6 +53,16 @@ INPUTS = [pytest.param(spec.config, spec.seed, id=spec.task_id)
           for spec in SPECS] + [pytest.param(config, seed, id=name)
                                 for name, (config, seed) in PAPER.items()]
 
+#: Horizon cap of the TCP configurations (s): past slow start and the
+#: first losses and recoveries.
+TCP_HORIZON = 3.0
+TCP = [pytest.param(config(duration=TCP_HORIZON), policy,
+                    id=f"{config.__name__}-{policy}")
+       for config in (tcp.rtt_config, tcp.parking_config, tcp.many_config,
+                      tcp.vegas_config, tcp.mixed_config,
+                      tcp.two_way_config)
+       for policy in ("drop-tail", "selective-discard")]
+
 
 def test_the_batch_covers_every_generated_axis():
     configs = [spec.config for spec in SPECS]
@@ -72,3 +85,8 @@ def test_the_paper_configs_exercise_their_schedules():
 def test_fast_run_equals_the_bounded_reference(config, seed):
     config = dict(config, duration=min(config["duration"], HORIZON))
     assert reference_problems(config, seed) == []
+
+
+@pytest.mark.parametrize("config,policy", TCP)
+def test_fast_tcp_run_equals_the_bounded_reference(config, policy):
+    assert reference_problems(config, 0, policy=policy) == []

@@ -10,8 +10,8 @@ import pytest
 from repro.atm import Cell, OutputPort
 from repro.core import PhantomAlgorithm
 from repro.obs import Tracer
-from repro.scenarios import (build_atm, drop_tail_policy, many_flows,
-                             staggered_config)
+from repro.scenarios import build_atm, staggered_config
+from repro.scenarios.tcp import build_tcp, drop_tail_policy, many_config
 from repro.sim import Simulator
 
 from tests.atm.test_link import Collector
@@ -29,8 +29,9 @@ def atm_trace():
 def tcp_trace():
     tracer = Tracer()
     # a small drop-tail buffer forces drops, dupacks and recoveries
-    many_flows(drop_tail_policy(buffer_packets=20), n_flows=4,
-               duration=4.0, tracer=tracer)
+    build_tcp(many_config(n_flows=4, duration=4.0),
+              policy_factory=drop_tail_policy(buffer_packets=20),
+              tracer=tracer)
     return tracer
 
 

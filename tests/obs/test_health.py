@@ -10,8 +10,8 @@ from repro.obs.health import (CHECK_NAMES, HEALTH_SCHEMA, HEALTH_VERSION,
                               merge_health, oracle_allocation,
                               validate_health, verdict_of)
 from repro.obs.monitor import NOT_APPLICABLE, PASS, VIOLATED, check
-from repro.scenarios import (build_atm, drop_tail_policy, rtt_fairness,
-                             staggered_config)
+from repro.scenarios import build_atm, staggered_config
+from repro.scenarios.tcp import build_tcp, drop_tail_policy, rtt_config
 
 E01_SHARE = 150.0 / 2.2   # 2 sessions + 1/5 phantom at 150 Mb/s
 
@@ -163,7 +163,8 @@ def test_gate_fluid_binary_mode_and_rm_loss(e01_fluid):
 # ----------------------------------------------------------------------
 
 def test_tcp_health_judges_counters_not_rates():
-    run = rtt_fairness(drop_tail_policy(), duration=5.0)
+    run = build_tcp(rtt_config(duration=5.0),
+                    policy_factory=drop_tail_policy())
     report = build_health(run, scenario="tcp.rtt", params={})
     verdicts = dict(names_verdicts(report))
     assert verdicts["conservation"] == PASS

@@ -5,8 +5,8 @@ import pytest
 from repro.core import PhantomAlgorithm
 from repro.obs import MetricsRegistry, registry_from_run
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
-from repro.scenarios import (build_atm, drop_tail_policy, many_flows,
-                             staggered_config)
+from repro.scenarios import build_atm, staggered_config
+from repro.scenarios.tcp import build_tcp, drop_tail_policy, many_config
 from repro.sim import Probe
 
 
@@ -175,7 +175,8 @@ def atm_registry():
 
 @pytest.fixture(scope="module")
 def tcp_registry():
-    run = many_flows(drop_tail_policy(), n_flows=2, duration=2.0)
+    run = build_tcp(many_config(n_flows=2, duration=2.0),
+                    policy_factory=drop_tail_policy())
     return registry_from_run(run)
 
 

@@ -84,7 +84,8 @@ def test_reno_safety_invariants_under_loss(lost_segments):
 @given(st.integers(min_value=2, max_value=4))
 @settings(max_examples=3, deadline=None)
 def test_equal_rtt_flows_share_fairly_under_selective_discard(n_flows):
-    from repro.scenarios import many_flows, selective_discard_policy
-    run = many_flows(selective_discard_policy(), n_flows=n_flows,
-                     duration=6.0)
+    from repro.scenarios.tcp import (build_tcp, many_config,
+                                     selective_discard_policy)
+    run = build_tcp(many_config(n_flows=n_flows, duration=6.0),
+                    policy_factory=selective_discard_policy())
     assert jain_index(run.goodputs().values()) > 0.8

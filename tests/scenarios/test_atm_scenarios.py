@@ -7,7 +7,8 @@ from repro.scenarios.atm import (background_config, onoff_config,
                                  parking_config, rtt_config,
                                  staggered_config, transient_config,
                                  weighted_config)
-from repro.scenarios.generic import build_atm, validate_config
+from repro.scenarios.config import validate_config
+from repro.scenarios.generic import build_atm
 
 
 def _phantom(config, **kwargs):

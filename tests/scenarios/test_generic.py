@@ -1,7 +1,8 @@
 """Config-driven ATM construction (``repro.scenarios.generic``)."""
 
 from repro.core import PhantomAlgorithm
-from repro.scenarios.generic import build_atm, validate_config
+from repro.scenarios.config import validate_config
+from repro.scenarios.generic import build_atm
 
 LOSSY = {
     "switches": ["S1", "S2"],

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.core import PhantomAlgorithm
-from repro.scenarios import (build_atm, drop_tail_policy, many_flows,
-                             staggered_config, two_way)
+from repro.exec import TaskSpec
+from repro.exec.worker import execute_task
+from repro.scenarios import build_atm, staggered_config
+from repro.scenarios.tcp import (build_tcp, drop_tail_policy, many_config,
+                                 two_way_config)
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +18,8 @@ def atm_run():
 
 @pytest.fixture(scope="module")
 def tcp_run():
-    return many_flows(drop_tail_policy(), n_flows=2, duration=5.0)
+    return build_tcp(many_config(n_flows=2, duration=5.0),
+                     policy_factory=drop_tail_policy())
 
 
 def test_atm_steady_window(atm_run):
@@ -69,9 +73,20 @@ def test_tcp_macr_probe_absent_for_droptail(tcp_run):
 
 
 def test_two_way_builder_names_and_symmetry():
-    run = two_way(drop_tail_policy(), flows_per_direction=1, duration=5.0)
+    run = build_tcp(two_way_config(flows_per_direction=1, duration=5.0),
+                    policy_factory=drop_tail_policy())
     rates = run.goodputs()
     assert set(rates) == {"east0", "west0"}
     assert min(rates.values()) > 0
     with pytest.raises(ValueError):
-        two_way(drop_tail_policy(), flows_per_direction=0)
+        two_way_config(flows_per_direction=0)
+
+
+def test_parking_lot_utilization_counts_only_bottleneck_sessions():
+    # E04 as the worker reduces it: the long session and cross0 cross
+    # the reported trunk, cross1 and cross2 do not
+    payload = execute_task({"spec": TaskSpec(
+        task_id="E04", scenario="atm.parking").to_dict()})
+    assert payload["status"] == "ok", payload.get("error")
+    utilization = payload["metrics"]["utilization"]
+    assert 0.5 < utilization <= 1.0
