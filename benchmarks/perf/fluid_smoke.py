@@ -45,10 +45,10 @@ def check(condition: bool, message: str) -> None:
 
 
 def main() -> int:
-    start = time.perf_counter()  # lint: disable=DET002
+    start = time.perf_counter()
     run = many_flows(cohorts=COHORTS, flows_per_cohort=FLOWS_PER_COHORT,
                      greedy=GREEDY, duration=HORIZON_S)
-    wall = time.perf_counter() - start  # lint: disable=DET002
+    wall = time.perf_counter() - start
 
     flows = sum(c.count for c in run.net.cohorts)
     check(flows >= 100_000, f"{flows} flows simulated")

@@ -2,11 +2,13 @@
 """TCP fairness: drop-tail vs the paper's Selective Discard (Section 4).
 
 Two greedy Reno flows with a 4:1 RTT ratio share a 10 Mb/s bottleneck.
-With plain drop-tail routers the short-RTT flow takes nearly everything
-(paper Fig. 14-left); with Selective Discard — sources stamp their
-current rate (CR) into the header and the router drops packets whose CR
-exceeds utilization_factor × MACR — the split is nearly even (Fig.
-14-right), with no per-flow state in the router.
+With plain drop-tail routers one flow takes nearly everything.  The
+paper (Fig. 14-left) has the short-RTT flow win; in this simulator the
+long-RTT flow does (about 1.3 vs 8.0 Mb/s at 30 s), an open gap.  With
+Selective Discard — sources stamp their current rate (CR) into the
+header and the router drops packets whose CR exceeds
+utilization_factor × MACR — the split is nearly even (about 4.9 vs
+3.5 Mb/s; Fig. 14-right), with no per-flow state in the router.
 
 Run:  python examples/tcp_selective_discard.py   (~1 minute)
 """

@@ -102,11 +102,10 @@ class VbrSource(CbrSource):
         self.rng = rng or random.Random(0)
         self._on = True
         self.transitions = 0
-        self._toggle_event: Event | None = None
 
     def start(self) -> None:
         super().start()
-        self._toggle_event = self.sim.schedule_at(
+        self.sim.schedule_at(
             max(self.start_time, self.sim.now) + self._state_duration(),
             self._toggle)
 
@@ -116,7 +115,6 @@ class VbrSource(CbrSource):
 
     def _toggle(self) -> None:
         if self.stop_time is not None and self.sim.now >= self.stop_time:
-            self._toggle_event = None
             return
         self._on = not self._on
         self.transitions += 1
@@ -125,8 +123,7 @@ class VbrSource(CbrSource):
         elif self._pending is not None:
             self._pending.cancel()
             self._pending = None
-        self._toggle_event = self.sim.schedule(
-            self._state_duration(), self._toggle)
+        self.sim.schedule(self._state_duration(), self._toggle)
 
     def _emit(self) -> None:
         if not self._on:

@@ -84,7 +84,7 @@ class AbrSource(CellSink):
         value = max(value, self.params.floor_mbps)
         # exact compare on purpose: suppress no-op updates so the ACR
         # probe records changes only (not an arithmetic tolerance check)
-        if value != self._acr:  # lint: disable=FLT001
+        if value != self._acr:
             self._acr = value
             self._interval_cached = units.cell_time(value)
             self.acr_probe.record(self.sim.now, value)
@@ -107,8 +107,6 @@ class AbrSource(CellSink):
         if self.link is None:
             raise RuntimeError(f"source {self.vc} has no link attached")
         self.started = True
-        # fire-and-forget: a started source is never unstarted, so the
-        # begin event needs no handle (pausing goes through set_active)
         self.sim.schedule_at(
             max(self.start_time, self.sim.now), self._begin)
 
@@ -207,7 +205,7 @@ class AbrSource(CellSink):
         # fires at precisely the recorded emission time; anything else is
         # a superseded or paused-out wake-up and must do nothing
         now = self.sim.now
-        if self._next_emit != now:  # lint: disable=FLT001
+        if self._next_emit != now:
             return
         self._next_emit = None
         if not self.active:

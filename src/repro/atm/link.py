@@ -134,7 +134,7 @@ class Link:
                 self._busy = True
                 # loss injection stays evented on purpose: the rng must
                 # be drawn once per departure, in departure order
-                self.sim.schedule(  # lint: disable=PRF001
+                self.sim.schedule(
                     self.cell_time, self._transmitted)
             return
         # Lossless: the departure time is fully determined on arrival,
@@ -244,7 +244,7 @@ class Link:
             self.sim.schedule(self.propagation, self._deliver, cell)
         if self._buffer:
             # evented on purpose — see send()'s loss branch
-            self.sim.schedule(  # lint: disable=PRF001
+            self.sim.schedule(
                 self.cell_time, self._transmitted)
         else:
             self._busy = False

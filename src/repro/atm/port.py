@@ -142,7 +142,7 @@ class OutputPort(CellSink):
         # trace hook, captured pre-gated (None unless a tracer is
         # installed AND the "port" category is on), so the per-cell
         # paths pay one is-None check — same discipline as the
-        # algorithm hooks above (lint rule OBS001)
+        # algorithm hooks above
         tracer = sim.tracer
         self._tracer = (tracer.gate("port") if tracer is not None
                         else None)

@@ -52,7 +52,7 @@ class AtmSwitch(CellSink):
         self._forward_recv: dict[str, Callable] = {}
         self._backward_recv: dict[str, Callable] = {}
         self._mark: dict[str, Callable | None] = {}
-        # trace hook, pre-gated on the "switch" category (OBS001)
+        # trace hook, pre-gated on the "switch" category
         tracer = sim.tracer
         self._tracer = (tracer.gate("switch") if tracer is not None
                         else None)

@@ -214,8 +214,8 @@ COMMANDS: dict[str, tuple[str, Callable | str | None, Callable]] = {
             "repro.exec.cli.add_run_arguments", _cmd_run),
     "maxmin": ("compute a (phantom) max-min allocation",
                _add_maxmin_arguments, _cmd_maxmin),
-    "lint": ("statically check determinism, unit-safety, and sim-API "
-             "invariants (see docs/LINTING.md)",
+    "lint": ("statically check set order in scheduling code and "
+             "blocking calls in gateway coroutines (see docs/LINTING.md)",
              "repro.lint.cli.add_arguments", _cmd_lint),
     "perf": ("measure hot-path throughput and refresh BENCH_perf.json "
              "(see docs/PERFORMANCE.md)", _add_perf_arguments, _cmd_perf),

@@ -49,7 +49,7 @@ class PhantomAlgorithm(PortAlgorithm):
         #: default) is the pure-packet path and costs one is-None check.
         self.demand_hook = None
         # trace hook; captured in on_attach (no sim yet), None-gated on
-        # the "macr" category (OBS001)
+        # the "macr" category
         self._tracer = None
 
     # ------------------------------------------------------------------

@@ -314,12 +314,10 @@ def run_suite_command(args: argparse.Namespace) -> int:
         raise SystemExit(f"repro suite: {exc}") from exc
     cache = _cache(args)
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    # wall-clock read is the measurement itself (CLI layer); simulated
-    # outcomes stay deterministic
-    start = time.perf_counter()  # lint: disable=DET002
+    start = time.perf_counter()
     results = run_tasks(specs, jobs=jobs, cache=cache,
                         timeout=args.timeout, retries=args.retries)
-    wall_s = time.perf_counter() - start  # lint: disable=DET002
+    wall_s = time.perf_counter() - start
 
     _print_results(results)
     _summarise(results, wall_s, cache)
@@ -452,11 +450,10 @@ def run_sweep_command(args: argparse.Namespace) -> int:
         _check_params(entry, spec.params)
     cache = _cache(args)
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    # wall-clock read is the measurement itself (CLI layer)
-    start = time.perf_counter()  # lint: disable=DET002
+    start = time.perf_counter()
     results = run_tasks(specs, jobs=jobs, cache=cache,
                         timeout=args.timeout, retries=args.retries)
-    wall_s = time.perf_counter() - start  # lint: disable=DET002
+    wall_s = time.perf_counter() - start
 
     _print_results(results)
     _print_sweep_metrics(results)

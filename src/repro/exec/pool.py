@@ -47,15 +47,8 @@ MAX_DEFAULT_JOBS = 4
 
 
 def default_jobs() -> int:
-    """Worker count when the caller does not choose one.
-
-    ``REPRO_EXEC_JOBS`` overrides (an executor knob, not simulation
-    configuration — simulated outcomes are identical at any job count);
-    otherwise the core count, capped at :data:`MAX_DEFAULT_JOBS`.
-    """
-    override = os.environ.get("REPRO_EXEC_JOBS")  # lint: disable=DET002
-    if override:
-        return max(1, int(override))
+    """Worker count when the caller does not choose one (``-j``): the
+    core count, capped at :data:`MAX_DEFAULT_JOBS`."""
     return max(1, min(MAX_DEFAULT_JOBS, os.cpu_count() or 1))
 
 

@@ -116,12 +116,10 @@ def execute_task(payload: dict[str, Any],
     if use_alarm:
         previous = signal.signal(signal.SIGALRM, _on_alarm)
         signal.setitimer(signal.ITIMER_REAL, timeout)
-    # wall-clock reads are the execution-layer measurement (how long the
-    # simulation took), not simulation state; outcomes stay deterministic
-    start = time.perf_counter()  # lint: disable=DET002
+    start = time.perf_counter()
     try:
         run = _call_entry(entry, spec, tracer)
-        wall_s = time.perf_counter() - start  # lint: disable=DET002
+        wall_s = time.perf_counter() - start
     except TaskTimeout:
         return _failure(spec, "timeout",
                         f"task exceeded {timeout:g}s wall-clock budget")

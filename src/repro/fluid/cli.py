@@ -75,13 +75,12 @@ def _cmd_many(args: argparse.Namespace) -> int:
     flows = args.cohorts * args.flows_per_cohort + args.greedy
     print(f"stepping {flows:,} flows for {args.duration:g} simulated "
           f"seconds ...")
-    # the wall-clock read *is* the measurement (CLI layer)
-    start = time.perf_counter()  # lint: disable=DET002
+    start = time.perf_counter()
     result = scenarios.many_flows(
         cohorts=args.cohorts, flows_per_cohort=args.flows_per_cohort,
         greedy=args.greedy, background_load=args.background_load,
         duration=args.duration, link_rate=args.link_rate)
-    wall_s = time.perf_counter() - start  # lint: disable=DET002
+    wall_s = time.perf_counter() - start
 
     queue = result.queue_stats()
     realtime = args.duration / wall_s if wall_s else float("inf")
@@ -121,10 +120,9 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
                   phantom=phantom)
     print(f"hybrid: {args.foreground} packet sessions + "
           f"{args.background:,} fluid background flows ...")
-    # wall-clock reads are the measurement (CLI layer)
-    start = time.perf_counter()  # lint: disable=DET002
+    start = time.perf_counter()
     hybrid = hybrid_staggered(**kwargs)
-    hybrid_wall = time.perf_counter() - start  # lint: disable=DET002
+    hybrid_wall = time.perf_counter() - start
     fg = hybrid.foreground_rates()
     print(format_table(
         ["session", "hybrid steady rate Mb/s"],
@@ -135,9 +133,9 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
         return 0
     print(f"\npacket twin: {args.background:,} background flows as CBR "
           "streams ...")
-    start = time.perf_counter()  # lint: disable=DET002
+    start = time.perf_counter()
     twin = packet_twin(**kwargs)
-    twin_wall = time.perf_counter() - start  # lint: disable=DET002
+    twin_wall = time.perf_counter() - start
     twin_fg = {vc: rate for vc, rate in twin.steady_rates().items()
                if not vc.startswith("bg")}
     print(format_table(

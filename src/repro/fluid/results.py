@@ -69,7 +69,7 @@ class FluidRun:
             squares += cohort.count * rate * rate
             flows += cohort.count
         # exact zero on purpose: all-idle cohorts accumulate literal 0.0
-        if squares == 0.0:  # lint: disable=FLT001
+        if squares == 0.0:
             return 1.0
         return total * total / (flows * squares)
 

@@ -36,6 +36,7 @@ from repro.fuzz.corpus import load_corpus, replay_entry
 from repro.fuzz.gen import generate_batch
 from repro.fuzz.harness import run_campaign
 from repro.fuzz.shrink import shrink
+from repro.obs.monitor import DEFAULT_EPS
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -45,8 +46,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "run", help="generate and judge a seeded batch")
     run_p.add_argument("--budget", type=int, default=60,
                        help="number of generated scenarios (default 60)")
-    run_p.add_argument("--eps", type=float, default=0.05,
-                       help="oracle-closeness band (default 0.05)")
     run_p.add_argument("--manifest", default="",
                        help="write a merged run manifest to this path")
     run_p.add_argument("--assert-cached", action="store_true",
@@ -63,8 +62,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     shrink_p.add_argument("--spec", required=True,
                           help="failing spec: a TaskSpec JSON file or "
                                "a corpus entry")
-    shrink_p.add_argument("--eps", type=float, default=0.05,
-                          help="oracle-closeness band (default 0.05)")
     _add_executor_arguments(shrink_p)
     shrink_p.set_defaults(fuzz_fn=run_shrink_command)
 
@@ -73,8 +70,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     replay_p.add_argument("--corpus-dir", default="tests/fuzz/corpus",
                           help="corpus directory "
                                "(default tests/fuzz/corpus)")
-    replay_p.add_argument("--eps", type=float, default=0.05,
-                          help="oracle-closeness band (default 0.05)")
     _add_executor_arguments(replay_p)
     replay_p.set_defaults(fuzz_fn=run_replay_command)
 
@@ -118,7 +113,7 @@ def _fuzz_manifest(path: str, results: Sequence[ExecResult],
         tasks.append(row)
     manifest = obs.build_manifest(
         command="fuzz",
-        params={"budget": args.budget, "eps": args.eps},
+        params={"budget": args.budget, "eps": DEFAULT_EPS},
         seed=args.seed,
         metrics={f"counts.{k}": float(v)
                  for k, v in summary["counts"].items()},
@@ -159,13 +154,11 @@ def run_fuzz_command(args: argparse.Namespace) -> int:
         raise SystemExit(f"repro fuzz run: {exc}") from exc
     cache = _cache(args)
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    # wall-clock read is the measurement itself (CLI layer); simulated
-    # outcomes stay deterministic
-    start = time.perf_counter()  # lint: disable=DET002
+    start = time.perf_counter()
     results, summary = run_campaign(
         specs, jobs=jobs, cache=cache, timeout=args.timeout,
-        retries=args.retries, eps=args.eps)
-    wall_s = time.perf_counter() - start  # lint: disable=DET002
+        retries=args.retries)
+    wall_s = time.perf_counter() - start
 
     _print_results(results)
     print()
@@ -215,8 +208,7 @@ def run_shrink_command(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     cache = _cache(args)
     try:
-        report = shrink(spec, eps=args.eps, cache=cache,
-                        timeout=args.timeout)
+        report = shrink(spec, cache=cache, timeout=args.timeout)
     except ValueError as exc:
         raise SystemExit(f"repro fuzz shrink: {exc}") from exc
     minimized: TaskSpec = report["spec"]
@@ -256,7 +248,7 @@ def run_replay_command(args: argparse.Namespace) -> int:
     rows = []
     status = 0
     for path, entry in entries:
-        ok, judgment = replay_entry(entry, eps=args.eps, cache=cache,
+        ok, judgment = replay_entry(entry, cache=cache,
                                     timeout=args.timeout)
         expected = entry["expect"]["classification"]
         rows.append([entry["name"], expected,

@@ -119,8 +119,8 @@ def load_corpus(directory: str | Path | None = None
     return found
 
 
-def replay_entry(entry: Mapping[str, Any], *, eps: float = 0.05,
-                 cache=None, timeout: float | None = None,
+def replay_entry(entry: Mapping[str, Any], *, cache=None,
+                 timeout: float | None = None,
                  ) -> tuple[bool, dict[str, Any]]:
     """Re-run one entry; ``(still reproduces, fresh judgment)``.
 
@@ -131,7 +131,7 @@ def replay_entry(entry: Mapping[str, Any], *, eps: float = 0.05,
     spec = TaskSpec.from_dict(entry["spec"])
     results = run_tasks([spec], jobs=1, cache=cache, timeout=timeout,
                         retries=0)
-    judgment = classify_result(results[0], eps)
+    judgment = classify_result(results[0])
     expect = entry["expect"]
     ok = (judgment["classification"] == expect["classification"]
           and set(expect.get("checks", []))

@@ -36,7 +36,7 @@ from repro.exec.spec import TaskSpec
 from repro.fuzz.oracle import oracle_for_config
 from repro.obs.health import (RM_LOSS_REASON, equilibrium_reason,
                               floor_reason, law_reason)
-from repro.obs.monitor import VIOLATED, fairness_gap_check
+from repro.obs.monitor import DEFAULT_EPS, VIOLATED, fairness_gap_check
 from repro.scenarios.config import topology
 
 #: Classification labels.
@@ -50,7 +50,7 @@ CLASS_TIMEOUT = "timeout"
 _MAX_ACCESS_DELAY = 1e-3
 #: Empirical settledness: the mean ACR over the last quarter of the
 #: horizon must agree with the quarter before it to within this
-#: fraction of ``eps`` — a run still ramping (slow weighted
+#: fraction of ``DEFAULT_EPS`` — a run still ramping (slow weighted
 #: convergence, late joins, aggressive factors) is excused from the
 #: ε-band rather than mis-reported as unfair.  A run whose rates have
 #: stopped moving but settled at the *wrong* value stays a violation.
@@ -116,7 +116,7 @@ def _window_mean(times: list[float], values: list[float],
 
 
 def _oracle_checks(config: Mapping[str, Any],
-                   series: Mapping[str, Any], eps: float,
+                   series: Mapping[str, Any],
                    ) -> tuple[list[dict], dict[str, float], str | None]:
     """``(checks, oracle, skip_reason)`` for an eligible config.
 
@@ -131,7 +131,7 @@ def _oracle_checks(config: Mapping[str, Any],
     oracle = oracle_for_config(config)
     duration = float(config.get("duration", 0.25))
     measured: dict[str, float] = {}
-    drift_tol = _DRIFT_FRACTION * eps
+    drift_tol = _DRIFT_FRACTION * DEFAULT_EPS
     for vc in sorted(oracle):
         acr = series.get(f"{vc}.acr")
         if acr is None:
@@ -147,13 +147,12 @@ def _oracle_checks(config: Mapping[str, Any],
                                 f"(last-quarter ACR drifted {drift:.1%}"
                                 f" > {drift_tol:.1%})")
         measured[vc] = late
-    gap = fairness_gap_check(measured, oracle, eps=eps)
+    gap = fairness_gap_check(measured, oracle)
     gap["name"] = "oracle_gap"
     return [gap], oracle, None
 
 
-def classify_result(result: ExecResult,
-                    eps: float = 0.05) -> dict[str, Any]:
+def classify_result(result: ExecResult) -> dict[str, Any]:
     """One judgment dict for one executed (or cached) task."""
     spec = result.spec
     judgment: dict[str, Any] = {
@@ -176,7 +175,7 @@ def classify_result(result: ExecResult,
         eligibility = oracle_eligibility(spec.config)
         if eligibility is None:
             extra, oracle, skipped = _oracle_checks(
-                spec.config, payload.get("series") or {}, eps)
+                spec.config, payload.get("series") or {})
             if skipped is None:
                 checks.extend(extra)
                 judgment["oracle"] = oracle
@@ -192,10 +191,9 @@ def classify_result(result: ExecResult,
     return judgment
 
 
-def judge_batch(results: Iterable[ExecResult],
-                eps: float = 0.05) -> dict[str, Any]:
+def judge_batch(results: Iterable[ExecResult]) -> dict[str, Any]:
     """Judgments plus a batch summary, in submission order."""
-    judgments = [classify_result(result, eps) for result in results]
+    judgments = [classify_result(result) for result in results]
     counts = {CLASS_PASS: 0, CLASS_VIOLATED: 0, CLASS_CRASH: 0,
               CLASS_TIMEOUT: 0}
     failing: dict[str, list[str]] = {}
@@ -213,9 +211,9 @@ def judge_batch(results: Iterable[ExecResult],
 
 def run_campaign(specs: list[TaskSpec], *, jobs: int | None = None,
                  cache=None, timeout: float | None = None,
-                 retries: int = 1, eps: float = 0.05,
+                 retries: int = 1,
                  ) -> tuple[list[ExecResult], dict[str, Any]]:
     """Execute a batch cache-first and judge every outcome."""
     results = run_tasks(specs, jobs=jobs, cache=cache, timeout=timeout,
                         retries=retries)
-    return results, judge_batch(results, eps)
+    return results, judge_batch(results)

@@ -140,8 +140,7 @@ def _matches(signature: tuple[str, str | None],
     return primary is None or primary in (judgment.get("checks") or [])
 
 
-def shrink(spec: TaskSpec, *, eps: float = 0.05, cache=None,
-           timeout: float | None = None,
+def shrink(spec: TaskSpec, *, cache=None, timeout: float | None = None,
            judge: Callable[[TaskSpec], dict[str, Any]] | None = None,
            ) -> dict[str, Any]:
     """Minimize a failing inline-config spec while it keeps failing.
@@ -162,7 +161,7 @@ def shrink(spec: TaskSpec, *, eps: float = 0.05, cache=None,
         def judge(candidate: TaskSpec) -> dict[str, Any]:
             results = run_tasks([candidate], jobs=1, cache=cache,
                                 timeout=timeout, retries=0)
-            return classify_result(results[0], eps)
+            return classify_result(results[0])
 
     def respin(config: Mapping[str, Any], label: str) -> TaskSpec:
         # probes are named after sessions (``s0.acr``) and ports

@@ -170,8 +170,8 @@ def _in_excluded_dir(path: str) -> bool:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
-        description="Static analysis for determinism, unit-safety, and "
-                    "sim-API invariants")
+        description="Static analysis for set order in scheduling code "
+                    "and blocking calls in gateway coroutines")
     add_arguments(parser)
     args = parser.parse_args(argv)
     return run_from_args(args)

@@ -1,9 +1,9 @@
 """Per-file analysis context handed to every rule.
 
-``FileContext`` owns the parsed AST plus the cheap derived facts that
-several rules share: which ``repro`` subpackage the file belongs to
-(derived from its path), whether it schedules simulator events, and
-which modules it imports at module level.
+``FileContext`` owns the parsed AST plus the cheap derived facts the
+rules read: which ``repro`` subpackage the file belongs to (derived
+from its path), whether it schedules simulator events, and each
+node's parent.
 """
 
 from __future__ import annotations
@@ -15,11 +15,6 @@ from repro.lint.pragmas import Suppressions
 
 #: Call names (last dotted component) that put work on the event queue.
 SCHEDULE_METHODS = frozenset({"schedule", "schedule_at"})
-
-#: The kernel-internal unchecked tier (no Event handle, no validation);
-#: deliberately disjoint from SCHEDULE_METHODS so the checked-path rules
-#: (SIM002, PRF001) never fire on code that already took the fast path.
-FAST_SCHEDULE_METHODS = frozenset({"schedule_fast", "schedule_fast_at"})
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -58,7 +53,6 @@ class FileContext:
         self.suppressions = Suppressions(source)
         self._parents: dict[ast.AST, ast.AST] | None = None
         self._schedules: bool | None = None
-        self._module_imports: set[str] | None = None
 
         parts = PurePath(path).parts
         #: Path components after the last ``repro`` directory (file name
@@ -73,11 +67,6 @@ class FileContext:
     # ------------------------------------------------------------------
     # scope helpers
     # ------------------------------------------------------------------
-    @property
-    def in_repro(self) -> bool:
-        """True for files inside (a copy of) the ``repro`` package."""
-        return self.package_parts is not None
-
     def in_subpackage(self, *names: str) -> bool:
         """True when the file sits under ``repro/<name>`` for any name."""
         return (self.package_parts is not None and len(self.package_parts) > 1
@@ -86,19 +75,6 @@ class FileContext:
     # ------------------------------------------------------------------
     # derived facts (lazily computed, cached)
     # ------------------------------------------------------------------
-    @property
-    def module_imports(self) -> set[str]:
-        """Top-level module names imported anywhere in the file."""
-        if self._module_imports is None:
-            found: set[str] = set()
-            for node in ast.walk(self.tree):
-                if isinstance(node, ast.Import):
-                    found.update(a.name.split(".")[0] for a in node.names)
-                elif isinstance(node, ast.ImportFrom) and node.module:
-                    found.add(node.module.split(".")[0])
-            self._module_imports = found
-        return self._module_imports
-
     @property
     def schedules_events(self) -> bool:
         """True when the file calls ``schedule``/``schedule_at``."""

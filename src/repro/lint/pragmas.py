@@ -3,13 +3,13 @@
 A finding on line *n* is suppressed when line *n* carries a comment of
 the form::
 
-    something()  # lint: disable=DET001
-    other()      # lint: disable=DET001,FLT001 -- why this is fine
+    something()  # lint: disable=DET003
+    other()      # lint: disable=DET003,SRV001 -- why this is fine
 
 and a whole file opts out of a rule with a comment anywhere in it (by
 convention at the top)::
 
-    # lint: disable-file=UNT001
+    # lint: disable-file=SRV001
 
 ``disable=all`` suppresses every rule on that line.  Comments are found
 with :mod:`tokenize`, so pragma-looking text inside string literals is

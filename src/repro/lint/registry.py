@@ -18,7 +18,7 @@ from repro.lint.findings import Finding, Severity
 class Rule:
     """One static-analysis check with a stable id."""
 
-    #: Stable identifier, e.g. ``DET001`` (category prefix + number).
+    #: Stable identifier, e.g. ``DET003`` (category prefix + number).
     id: str = ""
     #: Default severity of this rule's findings.
     severity: Severity = Severity.ERROR

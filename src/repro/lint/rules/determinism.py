@@ -1,11 +1,12 @@
-"""Determinism rules (DET*).
+"""Determinism rule (DET003).
 
-The engine's contract — "every run is fully deterministic" — is the
-foundation the test suite, the benchmark harness, and every stochastic
-figure (Fig. 4 / Fig. 22 style on/off experiments) stand on.  These
-rules close the classic leaks: the process-global ``random`` generator,
-wall-clock and environment reads, and iteration order of unordered sets
-in code that turns iteration order into event order.
+The engine's contract — "every run is fully deterministic" — is what
+the golden digests pin.  They catch a global ``random`` draw or a
+wall-clock read on any path they exercise, because either changes the
+result in every process.  Iterating a set of strings does not: its
+order follows the per-process hash seed, so a digest fails only in the
+processes whose seed reorders the set.  This rule catches that leak
+where it turns into event order.
 """
 
 from __future__ import annotations
@@ -13,107 +14,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.context import FileContext, call_name
+from repro.lint.context import FileContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
-
-#: Functions of the module-level (shared, process-global) generator.
-GLOBAL_RANDOM_FUNCS = frozenset({
-    "betavariate", "choice", "choices", "expovariate", "gammavariate",
-    "gauss", "getrandbits", "lognormvariate", "normalvariate",
-    "paretovariate", "randbytes", "randint", "random", "randrange",
-    "sample", "seed", "shuffle", "triangular", "uniform",
-    "vonmisesvariate", "weibullvariate",
-})
-
-#: Wall-clock / environment reads that differ run-to-run.
-WALL_CLOCK_CALLS = frozenset({
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "datetime.now", "datetime.utcnow", "datetime.today",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-    "os.getenv", "os.environb",
-})
-
-#: Modules whose function-local import usually hides one of the above.
-NONDET_MODULES = frozenset({"random", "time", "datetime", "os"})
-
-
-@register
-class GlobalRandomRule(Rule):
-    """DET001: the process-global ``random`` generator is unseeded state.
-
-    Two simulations sharing one interpreter would perturb each other's
-    sample paths, and adding any draw anywhere shifts every later draw.
-    Components must take a seeded ``random.Random`` or draw from a named
-    :class:`repro.sim.rng.RngStreams` stream instead.
-    """
-
-    id = "DET001"
-    severity = Severity.ERROR
-    summary = ("call to the global random.* generator; use a seeded "
-               "random.Random or sim.rng.RngStreams")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.in_repro
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        uses_random_module = "random" in ctx.module_imports
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call) and uses_random_module:
-                name = call_name(node)
-                if (name is not None and name.startswith("random.")
-                        and name.split(".", 1)[1] in GLOBAL_RANDOM_FUNCS):
-                    yield self.finding(
-                        ctx, node,
-                        f"{name}() draws from the process-global "
-                        "generator; pass a seeded random.Random or an "
-                        "RngStreams stream instead")
-            elif isinstance(node, ast.ImportFrom) and node.module == "random":
-                bad = sorted(a.name for a in node.names
-                             if a.name in GLOBAL_RANDOM_FUNCS)
-                if bad:
-                    yield self.finding(
-                        ctx, node,
-                        f"importing {', '.join(bad)} from random binds the "
-                        "process-global generator; import random.Random "
-                        "and seed it")
-
-
-@register
-class WallClockRule(Rule):
-    """DET002: wall-clock and environment reads vary run-to-run.
-
-    Simulation components must take time from ``Simulator.now`` and
-    configuration from explicit parameters, never from the host.
-    """
-
-    id = "DET002"
-    severity = Severity.ERROR
-    summary = ("wall-clock or os.environ read inside simulation code; "
-               "use Simulator.now / explicit parameters")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.in_repro
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                name = call_name(node)
-                if name in WALL_CLOCK_CALLS:
-                    yield self.finding(
-                        ctx, node,
-                        f"{name}() reads host state that changes between "
-                        "runs; simulation time is Simulator.now and config "
-                        "must be passed explicitly")
-            elif (isinstance(node, ast.Attribute) and node.attr == "environ"
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "os"):
-                yield self.finding(
-                    ctx, node,
-                    "os.environ read makes behaviour depend on the host "
-                    "environment; pass configuration explicitly")
 
 
 @register
@@ -156,43 +59,3 @@ class SetIterationRule(Rule):
                         ctx, it,
                         "iteration order of a set is not deterministic; "
                         "wrap it in sorted() or keep an ordered container")
-
-
-@register
-class InlineImportRule(Rule):
-    """DET004: function-local import of a nondeterminism-prone module.
-
-    ``import random`` buried inside a method (the historical
-    ``AtmNetwork.add_vbr`` pattern) hides a randomness source from
-    review and from these determinism rules' readers.  Hoist the import
-    to module level where the dependency is visible.
-    """
-
-    id = "DET004"
-    severity = Severity.WARNING
-    summary = ("function-local import of random/time/datetime/os; "
-               "hoist to module level")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.in_repro
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            names: list[str] = []
-            if isinstance(node, ast.Import):
-                names = [a.name.split(".")[0] for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module.split(".")[0]]
-            bad = sorted(set(names) & NONDET_MODULES)
-            if not bad:
-                continue
-            scope = ctx.parent(node)
-            while scope is not None and not isinstance(
-                    scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scope = ctx.parent(scope)
-            if scope is not None:
-                yield self.finding(
-                    ctx, node,
-                    f"import of {', '.join(bad)} inside {scope.name}() "
-                    "hides a nondeterminism source; move it to module "
-                    "level")

@@ -1,23 +1,24 @@
 """Observability layer: structured tracing, metrics, run manifests.
 
-Four pieces (see docs/OBSERVABILITY.md):
+The pieces (see docs/OBSERVABILITY.md):
 
-* :mod:`repro.obs.trace` — the :class:`Tracer` event bus the engine and
+* :mod:`repro.obs.trace` — the :class:`Tracer` event log the engine and
   both protocol stacks emit into, plus the JSONL trace format;
-* :mod:`repro.obs.metrics` — a counters/gauges/histograms registry with
-  Prometheus-text and JSON exporters, populated from run handles;
+* :mod:`repro.obs.metrics` — the counters/gauges/histograms registry
+  the gateway exports as Prometheus text;
 * :mod:`repro.obs.manifest` — machine-readable run manifests (seed,
   parameters, git rev, platform, metric summary) and their diffing;
 * :mod:`repro.obs.chrome` — Chrome ``trace_event`` conversion so traces
   load in Perfetto / ``about://tracing``;
-* :mod:`repro.obs.monitor` / :mod:`repro.obs.health` — streaming
-  invariant monitors (conservation, queue bounds, ε-band convergence)
-  folded into per-run **HealthReports** with max-min verdicts.
+* :mod:`repro.obs.monitor` / :mod:`repro.obs.health` — invariant
+  checks over finished runs (conservation, queue bounds, ε-band
+  convergence) folded into per-run **HealthReports** with max-min
+  verdicts.
 
 ``repro obs`` (see :mod:`repro.obs.cli`) is the command-line entry
 point.  Tracing is opt-in and observation-only: with no tracer
-installed every emit point is one ``is None`` check (lint rule OBS001),
-and with one installed the simulated outcome is bit-identical — the
+installed every emit point is one ``is None`` check, and with one
+installed the simulated outcome is bit-identical — the
 golden-trace suite asserts both.
 """
 
@@ -39,13 +40,11 @@ if TYPE_CHECKING:
                                     git_revision, read_manifest,
                                     validate_manifest, write_manifest)
     from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Gauge,
-                                   Histogram, MetricsRegistry,
-                                   registry_from_run)
-    from repro.obs.monitor import (DEFAULT_EPS, DropWatch, QueueWatch,
-                                   attach, conservation_check,
-                                   convergence_check, detach,
-                                   fairness_gap_check, oscillation_check,
-                                   queue_bound_check, vandalore_bound)
+                                   Histogram, MetricsRegistry)
+    from repro.obs.monitor import (DEFAULT_EPS, conservation_check,
+                                   convergence_check, fairness_gap_check,
+                                   oscillation_check, queue_bound_check,
+                                   vandalore_bound)
     from repro.obs.trace import (CATEGORIES, TRACE_SCHEMA, TRACE_VERSION,
                                  Tracer, event_dicts, read_trace_jsonl,
                                  summarize_events, trace_header,
@@ -64,13 +63,11 @@ _EXPORTS = {name: module for module, names in {
                            "git_revision", "read_manifest",
                            "validate_manifest", "write_manifest"),
     "repro.obs.metrics": ("DEFAULT_BUCKETS", "Counter", "Gauge",
-                          "Histogram", "MetricsRegistry",
-                          "registry_from_run"),
-    "repro.obs.monitor": ("DEFAULT_EPS", "DropWatch", "QueueWatch",
-                          "attach", "conservation_check",
-                          "convergence_check", "detach",
-                          "fairness_gap_check", "oscillation_check",
-                          "queue_bound_check", "vandalore_bound"),
+                          "Histogram", "MetricsRegistry"),
+    "repro.obs.monitor": ("DEFAULT_EPS", "conservation_check",
+                          "convergence_check", "fairness_gap_check",
+                          "oscillation_check", "queue_bound_check",
+                          "vandalore_bound"),
     "repro.obs.trace": ("CATEGORIES", "TRACE_SCHEMA", "TRACE_VERSION",
                         "Tracer", "event_dicts", "read_trace_jsonl",
                         "summarize_events", "trace_header",

@@ -44,9 +44,9 @@ from typing import Any, Mapping, NamedTuple
 
 from repro.core.fairness import max_min_allocation
 from repro.obs.monitor import (DEFAULT_EPS, NOT_APPLICABLE, PASS, VIOLATED,
-                               QueueWatch, check, conservation_check,
-                               convergence_check, fairness_gap_check,
-                               oscillation_check, queue_bound_check)
+                               check, conservation_check, convergence_check,
+                               fairness_gap_check, oscillation_check,
+                               queue_bound_check)
 
 #: Schema identifier stamped into every report.
 HEALTH_SCHEMA = "repro.obs.health"
@@ -296,28 +296,24 @@ def _steady_measured(probes: Mapping[str, Any], start: float,
 
 
 def _oracle_checks(checks: list[dict[str, Any]], run,
-                   floors: Mapping[str, float], probes: Mapping[str, Any],
-                   eps: float):
+                   floors: Mapping[str, float], probes: Mapping[str, Any]):
     """The grant-floor gate, then the oracle checks of the run's rate
     ``probes``; returns ``(checks, oracle or None)``."""
     oracle = oracle_allocation(run)
     reason = floor_reason(oracle, run.net.routes(), floors)
     if reason is not None:
         return checks + _not_applicable(reason), None
-    conv = convergence_check(probes, oracle, eps=eps,
-                             horizon=run.duration)
+    conv = convergence_check(probes, oracle, horizon=run.duration)
     settling = conv["evidence"]["settling_s"]
-    osc = oscillation_check(probes, oracle, settling, eps=eps,
+    osc = oscillation_check(probes, oracle, settling,
                             horizon=run.duration)
     start, end = run.steady_window()
-    gap = fairness_gap_check(_steady_measured(probes, start, end),
-                             oracle, eps=eps)
+    gap = fairness_gap_check(_steady_measured(probes, start, end), oracle)
     return checks + [conv, osc, gap], oracle
 
 
-def _atm_checks(run, scenario, params, eps, queue_bound, watch):
-    checks = [conservation_check(run),
-              queue_bound_check(run, queue_bound, watch)]
+def _atm_checks(run, scenario, params):
+    checks = [conservation_check(run), queue_bound_check(run)]
     reason = _oracle_reason(scenario, params, "atm")
     if reason is None:
         algo_params = run.bottleneck.algorithm.params
@@ -330,21 +326,19 @@ def _atm_checks(run, scenario, params, eps, queue_bound, watch):
               for port in run.net.trunks.values()}
     probes = {vc: session.acr_probe
               for vc, session in run.net.sessions.items()}
-    return _oracle_checks(checks, run, floors, probes, eps)
+    return _oracle_checks(checks, run, floors, probes)
 
 
-def _tcp_checks(run, scenario, params, eps, queue_bound, watch):
-    checks = [conservation_check(run),
-              queue_bound_check(run, queue_bound, watch)]
+def _tcp_checks(run, scenario, params):
+    checks = [conservation_check(run), queue_bound_check(run)]
     # TCP's AIMD hunts around the fair share by design — there is no
     # settled explicit rate for the ε-band argument to bound.
     reason = "TCP window control has no settled explicit rate"
     return checks + _not_applicable(reason), None
 
 
-def _fluid_checks(run, scenario, params, eps, queue_bound, watch):
-    checks = [conservation_check(run),
-              queue_bound_check(run, queue_bound, watch)]
+def _fluid_checks(run, scenario, params):
+    checks = [conservation_check(run), queue_bound_check(run)]
     reason = _oracle_reason(scenario, params, "fluid")
     if reason is None:
         reason = equilibrium_reason(
@@ -358,15 +352,14 @@ def _fluid_checks(run, scenario, params, eps, queue_bound, watch):
               for name, trunk in run.net.trunks.items()}
     probes = {cohort.name: cohort.rate_probe
               for cohort in run.net.cohorts}
-    return _oracle_checks(checks, run, floors, probes, eps)
+    return _oracle_checks(checks, run, floors, probes)
 
 
-def _hybrid_checks(run, scenario, params, eps, queue_bound, watch):
+def _hybrid_checks(run, scenario, params):
     # judge the packet-accurate foreground; fold the fluid background's
     # ledger and queues in as extra named checks so a background
     # violation still taints the run
-    checks = [conservation_check(run.atm),
-              queue_bound_check(run.atm, queue_bound, watch)]
+    checks = [conservation_check(run.atm), queue_bound_check(run.atm)]
     fluid_cons = conservation_check(run.fluid)
     fluid_cons["name"] = "conservation.fluid"
     fluid_queue = queue_bound_check(run.fluid)
@@ -377,7 +370,7 @@ def _hybrid_checks(run, scenario, params, eps, queue_bound, watch):
     return checks + _not_applicable(reason), None
 
 
-def _checks_for(run, scenario, params, eps, queue_bound, watch):
+def _checks_for(run, scenario, params):
     if hasattr(run, "coupling"):                       # HybridRun
         build = _hybrid_checks
     elif hasattr(run.net, "steps"):                    # FluidRun
@@ -386,32 +379,27 @@ def _checks_for(run, scenario, params, eps, queue_bound, watch):
         build = _tcp_checks
     else:                                              # AtmRun
         build = _atm_checks
-    return build(run, scenario, params, eps, queue_bound, watch)
+    return build(run, scenario, params)
 
 
 # ----------------------------------------------------------------------
 # the report
 # ----------------------------------------------------------------------
 def build_health(run, *, scenario: str | None = None,
-                 params: Mapping[str, Any] | None = None,
-                 eps: float = DEFAULT_EPS,
-                 queue_bound: float | None = None,
-                 queue_watch: QueueWatch | None = None) -> dict[str, Any]:
+                 params: Mapping[str, Any] | None = None) -> dict[str, Any]:
     """Assemble the HealthReport for a completed run handle.
 
     ``scenario`` is the registry name (``"atm.staggered"``) and
     ``params`` its entry kwargs — together they gate the oracle checks.
-    ``queue_bound`` overrides the derived per-port bound (cells or
-    packets); ``queue_watch`` merges a live :class:`QueueWatch`'s
-    first-violation timestamps into the queue verdict.
+    The rate checks use the ε-band :data:`DEFAULT_EPS`, and each port's
+    queue bound is derived by :func:`queue_bound_check`.
 
     Never raises: an internal monitor failure becomes a
     ``monitor_error`` check with the exception in evidence.
     """
     oracle = None
     try:
-        checks, oracle = _checks_for(run, scenario, params, eps,
-                                     queue_bound, queue_watch)
+        checks, oracle = _checks_for(run, scenario, params)
     except Exception as exc:  # never take the caller down
         checks = [check("monitor_error", NOT_APPLICABLE,
                         evidence={"error":
@@ -420,7 +408,7 @@ def build_health(run, *, scenario: str | None = None,
         "schema": HEALTH_SCHEMA,
         "version": HEALTH_VERSION,
         "scenario": scenario,
-        "eps": eps,
+        "eps": DEFAULT_EPS,
         "verdict": verdict_of(checks),
         "checks": checks,
     }

@@ -1,21 +1,12 @@
-"""Streaming invariant monitors.
+"""Invariant monitors over finished runs.
 
 The paper's claims are invariants — cells are conserved, queues stay
 bounded, per-session rates converge to the phantom-adjusted max-min
 allocation — and this module turns each into a machine-checkable
-*monitor*.  Two complementary modes:
-
-* **Streaming** — :class:`QueueWatch` subscribes to the
-  :class:`~repro.obs.trace.Tracer` bus (``Tracer.subscribe``) and
-  watches queue-length fields as events are emitted, recording the
-  *first-violation timestamp* per component.  Subscription swaps the
-  tracer's append target, so runs without monitors pay nothing, and
-  observers never touch simulator state — the golden-digest suite
-  proves monitored and unmonitored runs bit-identical.
-* **Finalize** — the ``*_check`` functions fold a completed run handle
-  (packet, TCP, fluid, or hybrid) into one verdict dict each.  The
-  conservation ledger is *exact integer arithmetic* over the ports'
-  own counters; the rate checks read the recorded probe series.
+*monitor*: the ``*_check`` functions fold a completed run handle
+(packet, TCP, fluid, or hybrid) into one verdict dict each.  The
+conservation ledger is *exact integer arithmetic* over the ports' own
+counters; the queue and rate checks read the recorded probe series.
 
 Each check returns the same shape::
 
@@ -97,92 +88,7 @@ def vandalore_bound(capacity_mbps: float, interval_s: float,
 
 
 # ----------------------------------------------------------------------
-# streaming monitors (Tracer.subscribe observers)
-# ----------------------------------------------------------------------
-class QueueWatch:
-    """Streaming queue-boundedness monitor.
-
-    Subscribed to a tracer, it watches every event carrying a queue
-    length — ``qlen`` on the packet tiers, ``queue`` on the fluid
-    tier's ``fluid.step`` — and records the running peak and the first
-    timestamp each component exceeded ``bound_cells``.  Read-only by
-    construction: it looks at the already-recorded tuple and keeps its
-    own tallies.
-    """
-
-    def __init__(self, bound_cells: float):
-        if bound_cells <= 0:
-            raise ValueError(
-                f"bound must be positive, got {bound_cells!r}")
-        self.bound_cells = bound_cells
-        self.peak: dict[str, float] = {}
-        self.first_violation: dict[str, float] = {}
-
-    def observe(self, record: tuple[float, str, str, dict]) -> None:
-        ts, _kind, comp, fields = record
-        qlen = fields.get("qlen")
-        if qlen is None:
-            qlen = fields.get("queue")
-            if qlen is None:
-                return
-        if qlen > self.peak.get(comp, 0.0):
-            self.peak[comp] = qlen
-            if qlen > self.bound_cells \
-                    and comp not in self.first_violation:
-                self.first_violation[comp] = ts
-
-    def as_check(self) -> dict[str, Any]:
-        """Fold the watch into a ``queue_bound`` check dict."""
-        first = (min(self.first_violation.values())
-                 if self.first_violation else None)
-        verdict = VIOLATED if self.first_violation else PASS
-        return check("queue_bound", verdict,
-                     evidence={"bound_cells": self.bound_cells,
-                               "peak": dict(sorted(self.peak.items())),
-                               "violations": dict(sorted(
-                                   self.first_violation.items()))},
-                     first_violation_ts=first)
-
-
-class DropWatch:
-    """Streaming drop ledger: first drop timestamp and count per port.
-
-    Complements the finalize-time conservation ledger with the *when*:
-    the exact integer ledger proves nothing was lost unaccounted, this
-    watch pins the first moment anything was dropped at all.
-    """
-
-    def __init__(self):
-        self.drops: dict[str, int] = {}
-        self.first_drop: dict[str, float] = {}
-
-    def observe(self, record: tuple[float, str, str, dict]) -> None:
-        ts, kind, comp, _fields = record
-        if not kind.endswith(".drop"):
-            return
-        if comp not in self.first_drop:
-            self.first_drop[comp] = ts
-        self.drops[comp] = self.drops.get(comp, 0) + 1
-
-
-def attach(tracer, *observers) -> None:
-    """Subscribe each observer to ``tracer`` (None-tolerant no-op)."""
-    if tracer is None:
-        return
-    for observer in observers:
-        tracer.subscribe(observer)
-
-
-def detach(tracer, *observers) -> None:
-    """Unsubscribe observers, restoring the raw-append fast path."""
-    if tracer is None:
-        return
-    for observer in observers:
-        tracer.unsubscribe(observer)
-
-
-# ----------------------------------------------------------------------
-# finalize-time checks over run handles
+# checks over run handles
 # ----------------------------------------------------------------------
 def _packet_ports(net) -> list[Any]:
     """Every directed trunk port of an ATM/TCP network, name-sorted."""
@@ -254,15 +160,14 @@ def _fluid_conservation(net) -> dict[str, Any]:
                  evidence={"trunks": ledger, "unbalanced": bad})
 
 
-def queue_bound_check(run, bound_cells: float | None = None,
-                      watch: QueueWatch | None = None) -> dict[str, Any]:
+def queue_bound_check(run, bound_cells: float | None = None
+                      ) -> dict[str, Any]:
     """Queue-boundedness over every trunk's recorded queue series.
 
     ``bound_cells=None`` derives the bound per port: a finite configured
     buffer is its own bound (the port cannot exceed it), otherwise the
     Vandalore-style transient bound for the port's capacity and the
-    run's session count.  A live :class:`QueueWatch` refines the
-    first-violation timestamp when one was attached.
+    run's session count.
     """
     net = getattr(run, "net", run)
     peaks: dict[str, float] = {}
@@ -303,9 +208,6 @@ def queue_bound_check(run, bound_cells: float | None = None,
             bounds[port.name] = bound
             _scan_queue(port.queue_probe, bound, port.name, peaks,
                         violations)
-    if watch is not None:
-        for comp, ts in watch.first_violation.items():
-            violations[comp] = min(ts, violations.get(comp, math.inf))
     first = min(violations.values()) if violations else None
     verdict = VIOLATED if violations else PASS
     return check("queue_bound", verdict,
@@ -437,8 +339,7 @@ def fairness_gap_check(measured: Mapping[str, float],
 
 __all__ = [
     "DEFAULT_EPS", "NOT_APPLICABLE", "OSCILLATION_BAND_FACTOR", "PASS",
-    "VANDALORE_SAFETY", "VIOLATED", "DropWatch", "QueueWatch", "attach",
-    "check", "conservation_check", "convergence_check", "detach",
-    "fairness_gap_check", "oscillation_check", "queue_bound_check",
-    "vandalore_bound",
+    "VANDALORE_SAFETY", "VIOLATED", "check", "conservation_check",
+    "convergence_check", "fairness_gap_check", "oscillation_check",
+    "queue_bound_check", "vandalore_bound",
 ]

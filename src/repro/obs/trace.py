@@ -6,7 +6,8 @@ records — ``engine.event``, ``macr.update``, ``port.drop``, ``tcp.timeout``
 the repository's hook discipline (docs/PERFORMANCE.md): components capture
 a *gated* tracer reference at construction time via :meth:`Tracer.gate`,
 ``None`` when the category is disabled, so a hot path with tracing off
-pays exactly one ``is None`` check (lint rule OBS001 enforces the gate).
+pays exactly one ``is None`` check (and an ungated emit raises
+``AttributeError`` on the untraced runs the test suite makes).
 
 Everything recorded is derived from simulation state only — timestamps
 are ``Simulator.now``, never the wall clock — so two runs of the same
@@ -47,12 +48,6 @@ class Tracer:
     ``categories=None`` records everything; otherwise only components
     whose category is named capture a live reference (the others hold
     ``None`` and skip emission entirely — see :meth:`gate`).
-
-    Streaming consumers (the invariant monitors of
-    :mod:`repro.obs.monitor`) attach via :meth:`subscribe`.  With no
-    subscribers, :meth:`emit` stays the bound ``list.append`` it has
-    always been — subscription swaps the append target, so the
-    no-subscriber hot path pays nothing for the feature.
     """
 
     def __init__(self, categories: Iterable[str] | None = None,
@@ -68,40 +63,12 @@ class Tracer:
         self.meta = dict(meta) if meta else {}
         #: Recorded events, in emission order: (ts, kind, comp, fields).
         self.events: list[tuple[float, str, str, dict[str, Any]]] = []
-        self._subscribers: list = []
         self._append = self.events.append
 
     # ------------------------------------------------------------------
     def enabled(self, category: str) -> bool:
         """Whether events of ``category`` are being recorded."""
         return self.categories is None or category in self.categories
-
-    # ------------------------------------------------------------------
-    def subscribe(self, observer) -> None:
-        """Stream every future event to ``observer.observe(record)``.
-
-        ``record`` is the raw ``(ts, kind, comp, fields)`` tuple, handed
-        over *after* it is recorded.  Observers must not mutate it, and
-        must not touch simulator state — observation may never change a
-        simulated outcome (the golden-digest suite asserts it).
-        """
-        if observer in self._subscribers:
-            raise ValueError(f"{observer!r} is already subscribed")
-        self._subscribers.append(observer)
-        self._append = self._record_and_notify
-
-    def unsubscribe(self, observer) -> None:
-        """Detach a subscriber; restores the raw-append fast path when
-        the last one leaves."""
-        self._subscribers.remove(observer)
-        if not self._subscribers:
-            self._append = self.events.append
-
-    def _record_and_notify(
-            self, record: tuple[float, str, str, dict[str, Any]]) -> None:
-        self.events.append(record)
-        for observer in self._subscribers:
-            observer.observe(record)
 
     def gate(self, category: str) -> "Tracer | None":
         """``self`` when ``category`` is enabled, else ``None``.

@@ -38,13 +38,10 @@ def measure(name: str, scale: float = 1.0, repeats: int = 1) -> dict[str, Any]:
     workload = WORKLOADS[name]
     best_wall = None
     run = None
-    # wall-clock reads are the whole point of a benchmark runner; the
-    # simulated outcome itself stays deterministic (the golden tests
-    # prove it), so the determinism rule is waived here only
     for _ in range(max(1, repeats)):
-        start = time.perf_counter()  # lint: disable=DET002
+        start = time.perf_counter()
         run = workload.build_and_run(scale)
-        wall = time.perf_counter() - start  # lint: disable=DET002
+        wall = time.perf_counter() - start
         if best_wall is None or wall < best_wall:
             best_wall = wall
     sim = run.net.sim

@@ -149,7 +149,7 @@ class Simulator:
         #: "engine").  Departures drained via :meth:`advance_inline`
         #: stay inside their callback and are not re-emitted — the
         #: component-level emits (port/link) cover them.  With no tracer
-        #: the cost is one ``is None`` check per event (OBS001).
+        #: the cost is one ``is None`` check per event.
         self.tracer = None
 
     # ------------------------------------------------------------------

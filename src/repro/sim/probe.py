@@ -147,7 +147,7 @@ class StepProbe(Probe):
             return
         # exact compare on purpose: dedup drops bit-identical repeats
         # only — any numeric change, however small, must be recorded
-        if values[-1] == value:  # lint: disable=FLT001
+        if values[-1] == value:
             return
         times = self.times
         last = times[-1]
@@ -157,7 +157,7 @@ class StepProbe(Probe):
                 f"({time} < {last})")
         # exact compare on purpose: only samples at bit-identical
         # timestamps coalesce; the last one is the observable value
-        if time == last:  # lint: disable=FLT001
+        if time == last:
             values[-1] = value
             return
         times.append(time)

@@ -133,7 +133,7 @@ class TcpRenoSource(PacketSink):
         self.cwnd_probe = Probe(f"{flow}.cwnd")
         self.rate_probe = Probe(f"{flow}.cr")
         self._cwnd_record = self.cwnd_probe.record
-        # trace hook, pre-gated on the "tcp" category (OBS001); only the
+        # trace hook, pre-gated on the "tcp" category; only the
         # rare transitions emit (timeout, fast retransmit, recovery
         # exit, quench), never the per-ACK path
         tracer = sim.tracer
@@ -152,8 +152,6 @@ class TcpRenoSource(PacketSink):
         if self.link is None:
             raise RuntimeError(f"flow {self.flow} has no link attached")
         self.started = True
-        # fire-and-forget: a started flow is never unstarted, so the
-        # begin event needs no handle (the RTO timer is what we cancel)
         self.sim.schedule_at(
             max(self.start_time, self.sim.now), self._begin)
 
@@ -226,7 +224,7 @@ class TcpRenoSource(PacketSink):
         now = self.sim.now
         # exact compare on purpose: the anchor wake-up is recognised by
         # firing at precisely the time it was planted for
-        anchor_hit = self._rto_anchor == now  # lint: disable=FLT001
+        anchor_hit = self._rto_anchor == now
         if anchor_hit:
             self._rto_anchor = None
         deadline = self._rto_deadline

@@ -136,7 +136,7 @@ class PacketPort(PacketSink):
         #: Time the port last went idle (RED's idle-decay needs it).
         self.idle_since: float | None = 0.0
         # trace hook, pre-gated on the "router" category so the
-        # per-packet path pays one is-None check (OBS001)
+        # per-packet path pays one is-None check
         tracer = sim.tracer
         self._tracer = (tracer.gate("router") if tracer is not None
                         else None)
@@ -230,9 +230,13 @@ class PacketPort(PacketSink):
             if queue:
                 head = queue[0]
                 at = now + (head.payload + HEADER_BYTES) * 8 / self._rate_bps
-                if sim.advance_inline(at):
+                # advance_inline refuses whenever the heap head is due
+                # first, so only a clear head is worth the call
+                heap = self._sim_heap
+                if (not heap or heap[0][0] > at) \
+                        and sim.advance_inline(at):
                     continue
-                heappush(self._sim_heap,
+                heappush(heap,
                          (at, next(self._sim_seq), None, self._tx_cb, ()))
             else:
                 self._busy = False

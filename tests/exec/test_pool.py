@@ -164,10 +164,5 @@ def test_failed_tasks_are_never_cached(tmp_path, scratch_registry):
 # ----------------------------------------------------------------------
 # job-count selection
 # ----------------------------------------------------------------------
-def test_default_jobs_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("REPRO_EXEC_JOBS", "0")
-    assert default_jobs() == 1  # clamped to at least one worker
-    monkeypatch.delenv("REPRO_EXEC_JOBS")
+def test_default_jobs_is_the_capped_core_count():
     assert 1 <= default_jobs() <= MAX_DEFAULT_JOBS

@@ -1,8 +1,8 @@
 """Shared helpers for the lint-framework tests.
 
-Fixture modules live under ``tests/lint/fixtures/repro/sim/`` — inside a
-``repro`` directory so path-scoped rules apply, inside ``fixtures`` so
-the tree-wide lint walk skips them.  Lines tagged ``# violation`` are
+Fixture modules live under ``tests/lint/fixtures/repro/<package>/`` —
+inside a ``repro`` directory so path-scoped rules apply, inside
+``fixtures`` so the tree-wide lint walk skips them.  Lines tagged ``# violation`` are
 the exact set a rule must flag; pragma'd twins must stay silent.
 """
 

@@ -21,7 +21,7 @@ def _run_in_repo_root(monkeypatch):
 def test_list_rules_through_repro_lint(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "DET001" in out and "SRV001" in out
+    assert "DET003" in out and "SRV001" in out
 
 
 def test_unknown_rule_id_is_a_usage_error(capsys):
@@ -31,7 +31,7 @@ def test_unknown_rule_id_is_a_usage_error(capsys):
 
 def test_report_unused_pragmas_rejects_partial_runs(capsys):
     assert main(["lint", "--report-unused-pragmas",
-                 "--select", "DET001", SRC]) == 2
+                 "--select", "DET003", SRC]) == 2
     assert "full rule set" in capsys.readouterr().out
 
 
@@ -40,11 +40,11 @@ def test_report_unused_pragmas_flags_a_dead_pragma(tmp_path, capsys,
     monkeypatch.chdir(tmp_path)
     pkg = tmp_path / "src" / "repro" / "sim"
     pkg.mkdir(parents=True)
-    (pkg / "mod.py").write_text("x = 1  # lint: disable=DET001\n")
+    (pkg / "mod.py").write_text("x = 1  # lint: disable=DET003\n")
     assert main(["lint", "--report-unused-pragmas",
                  str(tmp_path / "src")]) == 1
     out = capsys.readouterr().out
-    assert "LNT001" in out and "det001" in out
+    assert "LNT001" in out and "det003" in out
 
 
 def _git(cwd, *args):
@@ -62,13 +62,16 @@ def test_changed_against_head_is_clean(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     pkg = tmp_path / "repro" / "sim"
     pkg.mkdir(parents=True)
-    clean = "def draw(rng):\n    return rng.random()\n"
+    clean = "def send(sim, xs):\n    return xs\n"
+    violation = ("def fan(sim, xs):\n"
+                 "    for x in set(xs):\n"
+                 "        sim.schedule(0.001, x)\n")
     (pkg / "a.py").write_text(clean)
-    (pkg / "b.py").write_text("import random\nx = random.random()\n")
+    (pkg / "b.py").write_text(violation)
     _git(tmp_path, "init", "-q")
     _git(tmp_path, "add", ".")
     _git(tmp_path, "commit", "-q", "-m", "seed")
-    (pkg / "a.py").write_text(clean + "import random\ny = random.random()\n")
+    (pkg / "a.py").write_text(clean + violation)
 
     assert main(["lint", "--changed", "HEAD", "repro"]) == 1
     out = capsys.readouterr().out

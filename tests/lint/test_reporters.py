@@ -9,8 +9,8 @@ from repro.lint.reporters import (JSON_SCHEMA_VERSION, render_json,
 
 def _finding(**overrides):
     base = dict(path="src/repro/sim/engine.py", line=10, col=5,
-                rule_id="DET001", severity=Severity.ERROR,
-                message="call to the global random.* generator")
+                rule_id="DET003", severity=Severity.ERROR,
+                message="iteration order of a set is not deterministic")
     base.update(overrides)
     return Finding(**base)
 
@@ -19,7 +19,7 @@ def test_text_report_empty_and_nonempty():
     assert render_text([], 7) == "7 files clean"
     assert render_text([], 1) == "1 file clean"
     out = render_text([_finding()], 3)
-    assert "DET001" in out and out.endswith("1 finding in 3 files")
+    assert "DET003" in out and out.endswith("1 finding in 3 files")
 
 
 def test_json_schema_is_stable_for_empty_findings():

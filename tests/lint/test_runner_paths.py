@@ -8,7 +8,10 @@ from repro.lint.runner import iter_python_files, lint_paths
 def _tree(tmp_path):
     pkg = tmp_path / "src" / "repro" / "sim"
     pkg.mkdir(parents=True)
-    (pkg / "a.py").write_text("import random\nrandom.random()\n")
+    (pkg / "a.py").write_text(
+        "def f(sim, xs):\n"
+        "    for x in set(xs):\n"
+        "        sim.schedule(0.001, x)\n")
     (pkg / "b.py").write_text("x = 1\n")
     return tmp_path
 
@@ -40,9 +43,9 @@ def test_first_spelling_wins_for_reported_paths(tmp_path):
 def test_findings_are_not_duplicated_for_overlapping_paths(tmp_path):
     root = _tree(tmp_path)
     a = str(root / "src" / "repro" / "sim" / "a.py")
-    findings_once, checked_once = lint_paths([a], select=["DET001"])
+    findings_once, checked_once = lint_paths([a], select=["DET003"])
     findings_twice, checked_twice = lint_paths(
-        [str(root / "src"), a], select=["DET001"])
+        [str(root / "src"), a], select=["DET003"])
     assert len(findings_once) == 1
     assert len(findings_twice) == 1
     assert checked_twice == 2   # a.py counted once, plus b.py

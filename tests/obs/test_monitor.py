@@ -1,18 +1,12 @@
-"""Streaming invariant monitors: checks, watches, and bit-identity."""
-
-import math
+"""Invariant monitors: the checks a HealthReport is built from."""
 
 import pytest
 
 from repro.core import PhantomAlgorithm
-from repro.obs import Tracer
-from repro.obs.monitor import (DEFAULT_EPS, NOT_APPLICABLE, PASS,
-                               VANDALORE_SAFETY, VIOLATED, DropWatch,
-                               QueueWatch, attach, check,
+from repro.obs.monitor import (PASS, VANDALORE_SAFETY, VIOLATED, check,
                                conservation_check, convergence_check,
-                               detach, fairness_gap_check,
-                               oscillation_check, queue_bound_check,
-                               vandalore_bound)
+                               fairness_gap_check, oscillation_check,
+                               queue_bound_check, vandalore_bound)
 from repro.scenarios import build_atm, staggered_config
 from repro.sim import units
 from repro.sim.probe import Probe
@@ -51,57 +45,7 @@ def test_vandalore_bound_formula():
 
 
 # ----------------------------------------------------------------------
-# streaming watches
-# ----------------------------------------------------------------------
-
-def test_queue_watch_tracks_peak_and_first_violation():
-    watch = QueueWatch(bound_cells=10.0)
-    watch.observe((0.1, "port.enqueue", "A", {"qlen": 5}))
-    watch.observe((0.2, "port.enqueue", "A", {"qlen": 12}))
-    watch.observe((0.3, "port.enqueue", "A", {"qlen": 20}))
-    watch.observe((0.4, "fluid.step", "B", {"queue": 3.0}))
-    assert watch.peak == {"A": 20, "B": 3.0}
-    assert watch.first_violation == {"A": 0.2}
-    out = watch.as_check()
-    assert out["verdict"] == VIOLATED
-    assert out["first_violation_ts"] == 0.2
-
-
-def test_queue_watch_ignores_events_without_queue_fields():
-    watch = QueueWatch(bound_cells=1.0)
-    watch.observe((0.0, "engine.event", "sim", {"fn": "f"}))
-    assert watch.peak == {}
-    assert watch.as_check()["verdict"] == PASS
-    with pytest.raises(ValueError):
-        QueueWatch(bound_cells=0.0)
-
-
-def test_drop_watch_first_drop_and_counts():
-    watch = DropWatch()
-    watch.observe((0.1, "port.drop", "A", {"qlen": 9}))
-    watch.observe((0.2, "port.drop", "A", {"qlen": 9}))
-    watch.observe((0.3, "router.drop", "B", {"qlen": 4}))
-    watch.observe((0.4, "port.enqueue", "A", {"qlen": 2}))
-    assert watch.drops == {"A": 2, "B": 1}
-    assert watch.first_drop == {"A": 0.1, "B": 0.3}
-
-
-def test_attach_detach_roundtrip_and_none_tolerance():
-    tracer = Tracer()
-    watch = QueueWatch(bound_cells=5.0)
-    attach(tracer, watch)
-    tracer.emit(0.1, "port.enqueue", "A", qlen=7)
-    detach(tracer, watch)
-    tracer.emit(0.2, "port.enqueue", "A", qlen=9)
-    # only the subscribed-window event reached the watch; both recorded
-    assert watch.peak == {"A": 7}
-    assert len(tracer.events) == 2
-    attach(None, watch)   # no-ops, no crash
-    detach(None, watch)
-
-
-# ----------------------------------------------------------------------
-# finalize-time checks on a real packet run
+# checks on a real packet run
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -145,15 +89,6 @@ def test_queue_bound_explicit_bound_can_violate(e01_run):
     out = queue_bound_check(e01_run, bound_cells=0.5)
     assert out["verdict"] == VIOLATED
     assert out["first_violation_ts"] is not None
-
-
-def test_queue_bound_merges_watch_timestamps(e01_run):
-    watch = QueueWatch(bound_cells=0.5)
-    # pretend the stream saw an earlier violation than the probe scan
-    watch.first_violation["fake-port"] = 1e-6
-    out = queue_bound_check(e01_run, bound_cells=0.5, watch=watch)
-    assert out["evidence"]["violations"]["fake-port"] == 1e-6
-    assert out["first_violation_ts"] == 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -240,30 +175,3 @@ def test_fluid_queue_bound_scales_with_flow_count():
     assert big["evidence"]["bounds"][name] == \
         pytest.approx(10 * small["evidence"]["bounds"][name])
 
-
-# ----------------------------------------------------------------------
-# bit-identity: a subscribed monitor changes no simulated outcome
-# ----------------------------------------------------------------------
-
-def test_monitored_run_matches_untraced_golden_digests():
-    """The tentpole's zero-interference claim, gated by the kernel's
-    own golden fixtures: tracing on *and* a streaming QueueWatch
-    subscribed (so every emit goes through the notify path) must be
-    bit-identical to the committed untraced capture."""
-    from pathlib import Path
-
-    from repro.perf import golden
-
-    fixtures = (Path(__file__).resolve().parents[1] / "golden"
-                / "fixtures")
-    name = "e01_staggered"
-    expected = golden.read_trace(str(fixtures / f"{name}.json"))
-    tracer = Tracer()
-    watch = QueueWatch(bound_cells=10_000.0)
-    drops = DropWatch()
-    attach(tracer, watch, drops)
-    monitored = golden.capture(name, golden.GOLDEN_SCALES[name],
-                               tracer=tracer)
-    assert len(tracer.events) > 0
-    assert watch.peak, "watch subscribed but saw no queue events"
-    assert golden.compare_traces(expected, monitored) == []

@@ -1,9 +1,8 @@
 """Tier-1 gate: the tree must stay lint-clean.
 
-``repro.lint`` encodes the repository's determinism, unit-safety, and
-sim-API invariants (docs/LINTING.md); this test makes every violation a
-test failure, so refactors cannot silently reintroduce the bug classes
-the linter closes.
+``repro.lint`` checks the two invariants no runtime check or plain test
+catches reliably (docs/LINTING.md); this test makes every violation a
+test failure, so refactors cannot silently reintroduce them.
 """
 
 from pathlib import Path
