@@ -13,7 +13,6 @@ Two gates, run in-process:
    (:mod:`repro.fluid.validate`) must pass every committed tolerance,
    including the live RM-loss injection pair.
 
-Named without the ``bench_`` prefix so pytest does not collect it.
 Run directly::
 
     PYTHONPATH=src python benchmarks/perf/fluid_smoke.py
@@ -56,10 +55,14 @@ def main() -> int:
           f"{HORIZON_S:.1f}s horizon in {wall:.2f}s wall "
           f"({HORIZON_S / wall:.1f}x realtime, budget "
           f"{WALL_BUDGET_S:.0f}s)")
+    # many_flows names its greedy individuals fg0, fg1, ...
     greedy_rates = [rate for name, rate in run.steady_rates().items()
-                    if name.startswith("greedy")]
+                    if name.startswith("fg")]
+    check(len(greedy_rates) == GREEDY,
+          f"{len(greedy_rates)} greedy cohorts reported")
     check(all(rate > 0.0 for rate in greedy_rates),
-          "greedy minority holds a positive share")
+          f"greedy minority holds a positive share (lowest "
+          f"{min(greedy_rates):.2f} Mb/s)")
 
     rows = validate.validation_rows()
     failures = validate.failures(rows)

@@ -13,8 +13,11 @@ from pathlib import PurePath
 
 from repro.lint.pragmas import Suppressions
 
-#: Call names (last dotted component) that put work on the event queue.
-SCHEDULE_METHODS = frozenset({"schedule", "schedule_at"})
+#: Call names (last dotted component) that put work on the event queue:
+#: the checked ``schedule``/``schedule_at``, the unchecked fast path the
+#: packet kernel's hot loops use, and a direct push onto the heap.
+SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "schedule_fast",
+                              "schedule_fast_at", "heappush"})
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -77,7 +80,7 @@ class FileContext:
     # ------------------------------------------------------------------
     @property
     def schedules_events(self) -> bool:
-        """True when the file calls ``schedule``/``schedule_at``."""
+        """True when the file calls one of :data:`SCHEDULE_METHODS`."""
         if self._schedules is None:
             self._schedules = any(
                 isinstance(node, ast.Call) and last_attr(node)

@@ -23,6 +23,12 @@ def bwd(ccr, er=150.0):
     return RMCell(vc="A", direction=RMDirection.BACKWARD, ccr=ccr, er=er)
 
 
+def test_very_congested_threshold_is_the_papers():
+    """Paper §5.1: APRC's very-congested threshold is 300 cells, the
+    level E15's on/off queue exceeds."""
+    assert AprcParams().vqt == 300
+
+
 def test_congestion_follows_queue_growth_not_length():
     sim = Simulator()
     alg, port = make_alg(sim, AprcParams(sample_interval=1e-4))

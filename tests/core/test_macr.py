@@ -81,6 +81,23 @@ def test_deviation_deadband_holds_under_oscillation():
     assert damped.macr < raw.macr
 
 
+def test_deviation_term_damps_a_steady_sawtooth():
+    """Paper §2 (E07): the mean-deviation term suppresses the MACR ripple
+    a saw-toothing residual (30 ± 15 Mb/s) would cause."""
+
+    def tail_ripple(use_deviation):
+        filt = MacrFilter(150.0, PhantomParams(
+            macr_init=30.0, use_deviation=use_deviation))
+        trace = []
+        for i in range(600):
+            filt.update(30.0 + (15.0 if i % 2 else -15.0))
+            trace.append(filt.macr)
+        tail = trace[300:]
+        return max(tail) - min(tail)
+
+    assert tail_ripple(True) < tail_ripple(False)
+
+
 def test_deviation_decays_when_signal_stabilises():
     filt = MacrFilter(150.0, PhantomParams(macr_init=0.0))
     run_filter(filt, [5.0, 35.0] * 50)

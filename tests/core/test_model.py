@@ -57,7 +57,7 @@ def test_stability_boundary_tracks_alpha():
 
 def test_unstable_configuration_misses_closed_form():
     """Past the bound the model limit-cycles below the equilibrium —
-    the same bias benchmark E19 measures in full simulation."""
+    the same bias the E19 suite rows measure in full simulation."""
     model = PhantomLoopModel(
         150.0, phantom=PhantomParams(utilization_factor=20.0))
     trace = model.run(n_sessions=2, intervals=1000)
@@ -86,6 +86,26 @@ def test_model_agrees_with_simulation():
 
     assert a.source.acr == pytest.approx(trace.final_rates()[0], rel=0.05)
     assert trace.settle_time(0.1) < 0.06
+
+
+@pytest.mark.parametrize("n_sessions", [1, 3])
+def test_model_tracks_simulation_across_session_counts(n_sessions):
+    """The model's stable equilibrium is the simulator's: one and three
+    greedy sessions end within 5% of the model's rate."""
+    model = PhantomLoopModel(150.0)
+    assert model.is_stable(n_sessions)
+    trace = model.run(n_sessions=n_sessions, intervals=250)
+
+    net = AtmNetwork(algorithm_factory=PhantomAlgorithm)
+    net.add_switch("S1")
+    net.add_switch("S2")
+    net.connect("S1", "S2")
+    first = [net.add_session(f"s{i}", route=["S1", "S2"])
+             for i in range(n_sessions)][0]
+    net.run(until=0.25)
+
+    assert first.source.acr == pytest.approx(trace.final_rates()[0],
+                                             rel=0.05)
 
 
 def test_model_validation():

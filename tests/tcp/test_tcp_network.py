@@ -4,10 +4,15 @@ These reproduce the paper's Section-4 claims in miniature: drop-tail
 routers are RTT-biased; the Phantom mechanisms restore fairness.
 """
 
+import random
+
 import pytest
 
 from repro.core import PhantomParams
-from repro.tcp import (DropTail, RenoParams, SelectiveDiscard,
+from repro.scenarios.tcp import (build_tcp, rtt_config,
+                                 selective_quench_policy,
+                                 selective_red_policy)
+from repro.tcp import (DropTail, Red, RenoParams, SelectiveDiscard,
                        SelectiveEfci, TcpNetwork)
 
 #: MACR parameters calibrated for router timescales (50 ms interval to
@@ -90,6 +95,29 @@ def test_selective_efci_no_losses_from_mechanism():
     assert trunk.policy.marked > 0
     assert trunk.drops == 0
     assert goodput(a, 20.0) + goodput(b, 20.0) > 5.0
+
+
+def test_selective_quench_sends_quenches_on_the_rtt_config():
+    """Paper §4.2 (E12): the quench router controls the E09 topology by
+    messages, which no suite metric counts."""
+    run = build_tcp(rtt_config(duration=20.0),
+                    policy_factory=selective_quench_policy())
+    assert run.bottleneck.policy.quenches_sent > 0
+
+
+def test_selective_red_is_no_less_fair_than_red():
+    """Paper §4.2 (E13): Selective RED admits only non-conformant packets
+    as early-drop candidates, so it is at least as fair as plain RED,
+    which no registry policy runs."""
+    config = rtt_config(duration=25.0)
+    red = build_tcp(config, policy_factory=lambda: Red(
+        min_th=5, max_th=15, max_p=0.05, wq=0.002, buffer_packets=100,
+        rng=random.Random(42)))
+    selective = build_tcp(config, policy_factory=selective_red_policy(
+        min_th=5, max_th=15, max_p=0.05, rng=random.Random(42)))
+    assert selective.jain() >= red.jain() - 0.02
+    assert red.total_goodput() > 4.0
+    assert selective.total_goodput() > 4.0
 
 
 def test_multi_router_path():
