@@ -5,9 +5,7 @@ from repro.analysis.metrics import (allocation_error, convergence_time,
                                     utilization)
 from repro.analysis.report import (format_table, print_series, series_block,
                                    sparkline)
-from repro.analysis.timeseries import (oscillation_amplitude,
-                                       resample_uniform, uniform_grid,
-                                       write_csv)
+from repro.analysis.timeseries import uniform_grid, write_csv
 
 __all__ = [
     "allocation_error",
@@ -20,8 +18,6 @@ __all__ = [
     "print_series",
     "series_block",
     "sparkline",
-    "oscillation_amplitude",
-    "resample_uniform",
     "uniform_grid",
     "write_csv",
 ]

@@ -1,8 +1,7 @@
-"""Time-series utilities: uniform resampling, CSV export, oscillation.
+"""Time-series utilities: uniform grids and CSV export.
 
 The probes record irregular event-driven samples; the helpers here turn
-them into the uniform grids that external plotting, spectral inspection,
-and the amplitude metrics want.
+them into the uniform grids that external plotting wants.
 """
 
 from __future__ import annotations
@@ -22,31 +21,6 @@ def uniform_grid(start: float, end: float, samples: int) -> list[float]:
         raise ValueError(f"need end > start, got {start!r}..{end!r}")
     step = (end - start) / (samples - 1)
     return [start + i * step for i in range(samples)]
-
-
-def resample_uniform(probe: Probe, start: float, end: float,
-                     samples: int) -> tuple[list[float], list[float]]:
-    """Sample-and-hold the probe onto a uniform grid.
-
-    Instants before the probe's first sample yield NaN.
-    """
-    times = uniform_grid(start, end, samples)
-    return times, probe.resample(times, default=math.nan)
-
-
-def oscillation_amplitude(probe: Probe, start: float, end: float,
-                          samples: int = 200) -> float:
-    """Peak-to-peak excursion of the signal over a window.
-
-    The steady-state figure of merit for the binary variants and the
-    deviation-filter ablation.  NaN-free: instants before the first
-    sample are ignored.
-    """
-    _, values = resample_uniform(probe, start, end, samples)
-    present = [v for v in values if not math.isnan(v)]
-    if not present:
-        raise ValueError("window contains no samples")
-    return max(present) - min(present)
 
 
 def write_csv(out: TextIO, series: Mapping[str, Probe],

@@ -58,7 +58,7 @@ class AbrSource(CellSink):
         self._interval_cached = units.cell_time(self._acr)
         self._nrm = params.nrm
         # calendar-queue aliases for the inlined per-cell wake-up push
-        # (see Simulator.schedule_fast for the entry-layout contract)
+        # (see Simulator.schedule_fast_at for the entry-layout contract)
         self._sim_heap = sim._heap
         self._sim_seq = sim._seq
         self._last_emit: float | None = None
@@ -164,9 +164,6 @@ class AbrSource(CellSink):
     # ------------------------------------------------------------------
     # emission pacing
     # ------------------------------------------------------------------
-    def _interval(self) -> float:
-        return self._interval_cached
-
     def _schedule_next(self, immediate: bool = False) -> None:
         if immediate and self._last_emit is not None:
             # respect pacing: never two cells closer than one ACR slot

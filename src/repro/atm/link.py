@@ -101,7 +101,7 @@ class Link:
         self._delivered_base = 0
         self._sink_receive = sink.receive
         # calendar-queue aliases: one delivery event is pushed per cell,
-        # so the push itself is inlined (see Simulator.schedule_fast for
+        # so the push itself is inlined (see Simulator.schedule_fast_at for
         # the entry-layout contract; both objects are stable for the
         # simulator's life)
         self._sim_heap = sim._heap

@@ -136,7 +136,7 @@ class OutputPort(CellSink):
             if alg_cls.on_departure is not PortAlgorithm.on_departure
             else None)
         # calendar-queue aliases for the inlined event pushes (see
-        # Simulator.schedule_fast for the entry-layout contract)
+        # Simulator.schedule_fast_at for the entry-layout contract)
         self._sim_heap = sim._heap
         self._sim_seq = sim._seq
         # trace hook, captured pre-gated (None unless a tracer is

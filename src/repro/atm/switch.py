@@ -57,7 +57,7 @@ class AtmSwitch(CellSink):
         self._tracer = (tracer.gate("switch") if tracer is not None
                         else None)
         # calendar-queue aliases for the inlined arrival push (see
-        # Simulator.schedule_fast for the entry-layout contract)
+        # Simulator.schedule_fast_at for the entry-layout contract)
         self._sim_heap = sim._heap
         self._sim_seq = sim._seq
 

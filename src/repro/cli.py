@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from repro.exec.entries import ATM_ALGORITHMS, TCP_POLICIES, resolve
 
 # Every command imports what it runs, so `python -m repro suite` never
-# loads the simulator, the linter or the gateway.
+# loads the simulator, the fuzzer or the gateway.
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -59,12 +59,6 @@ def _cmd_maxmin(args: argparse.Namespace) -> int:
     print(format_table(["session", f"{label} rate"],
                        [[s, r] for s, r in sorted(rates.items())]))
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import cli as lint_cli
-
-    return lint_cli.run_from_args(args)
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
@@ -214,9 +208,6 @@ COMMANDS: dict[str, tuple[str, Callable | str | None, Callable]] = {
             "repro.exec.cli.add_run_arguments", _cmd_run),
     "maxmin": ("compute a (phantom) max-min allocation",
                _add_maxmin_arguments, _cmd_maxmin),
-    "lint": ("statically check set order in scheduling code and "
-             "blocking calls in gateway coroutines (see docs/LINTING.md)",
-             "repro.lint.cli.add_arguments", _cmd_lint),
     "perf": ("measure hot-path throughput and refresh BENCH_perf.json "
              "(see docs/PERFORMANCE.md)", _add_perf_arguments, _cmd_perf),
     "obs": ("inspect, convert, validate, and diff traces and run "

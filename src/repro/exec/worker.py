@@ -36,7 +36,7 @@ from typing import Any
 from repro.exec.registry import ScenarioEntry, get_scenario
 from repro.exec.spec import TaskSpec
 from repro.obs.health import build_health
-from repro.perf.golden import probe_digest, run_parts
+from repro.perf.golden import probe_digests, run_parts
 
 
 class TaskTimeout(Exception):
@@ -150,8 +150,7 @@ def execute_task(payload: dict[str, Any],
             "executed_events": events,
             "metrics": metrics,
             "counters": counters,
-            "probe_digests": {name: probe_digest(probe)
-                              for name, probe in sorted(probes.items())},
+            "probe_digests": probe_digests(probes),
             "series": _series(probes, spec.probes),
             "health": build_health(run, scenario=spec.scenario,
                                    params=spec.params),

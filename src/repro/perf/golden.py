@@ -85,6 +85,23 @@ def probe_digest(probe: Probe) -> dict[str, Any]:
     }
 
 
+def probe_digests(probes: Mapping[str, Probe]) -> dict[str, dict[str, Any]]:
+    """:func:`probe_digest` of each probe, by name in name order.
+
+    Probes that share their arrays are digested once: a single-class
+    port's ``abr_queue`` series is its ``queue`` series (see
+    :class:`repro.atm.port.OutputPort`).
+    """
+    by_series: dict[tuple[int, int], dict[str, Any]] = {}
+    digests: dict[str, dict[str, Any]] = {}
+    for name, probe in sorted(probes.items()):
+        key = (id(probe.times), id(probe.values))
+        if key not in by_series:
+            by_series[key] = probe_digest(probe)
+        digests[name] = dict(by_series[key])
+    return digests
+
+
 def atm_parts(run: AtmRun) -> tuple[dict, dict]:
     probes: dict[str, Probe] = {}
     counters: dict[str, Any] = {}
@@ -189,8 +206,7 @@ def trace_from_run(name: str, scale: float, run: Any) -> dict[str, Any]:
         "now": now,
         "executed_events": events,
         "counters": counters,
-        "probes": {pname: probe_digest(p)
-                   for pname, p in sorted(probes.items())},
+        "probes": probe_digests(probes),
     }
 
 

@@ -124,9 +124,6 @@ class JobStore:
             counts[job.state] = counts.get(job.state, 0) + 1
         return counts
 
-    def unfinished(self) -> int:
-        return sum(1 for job in self._jobs.values() if not job.done)
-
     def __len__(self) -> int:
         return len(self._jobs)
 

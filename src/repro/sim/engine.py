@@ -14,14 +14,13 @@ Two scheduling tiers share one heap and one insertion-order counter:
   path.  Validates the timestamp and returns an :class:`Event` handle that
   can be cancelled.  Use it everywhere correctness-by-construction is not
   obvious, and always when the event may need cancelling.
-* :meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_fast_at` —
-  the kernel-internal fast path for the per-cell hot loop (port
-  serializers, link deliveries).  Skips the negative-delay/ordering checks
-  and the ``Event`` wrapper; the caller promises the timestamp is not in
-  the past and that the callback will never be cancelled.  Execution order
-  relative to checked events is governed by the shared ``(time, seq)``
-  tie-break, so mixing tiers is bit-identical to using the checked path
-  throughout.
+* :meth:`Simulator.schedule_fast_at` — the kernel-internal fast path
+  for the per-cell hot loop (port serializers, link deliveries).  Skips
+  the ordering check and the ``Event`` wrapper; the caller promises the
+  timestamp is not in the past and that the callback will never be
+  cancelled.  Execution order relative to checked events is governed by
+  the shared ``(time, seq)`` tie-break, so mixing tiers is bit-identical
+  to using the checked path throughout.
 
 Transmitters that drain back-to-back cell trains use
 :meth:`Simulator.advance_inline` to step the clock to the next departure
@@ -181,12 +180,12 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling — kernel-internal fast path
     # ------------------------------------------------------------------
-    def schedule_fast(self, delay: float, fn: Callable[..., Any],
-                      args: tuple = ()) -> None:
+    def schedule_fast_at(self, time: float, fn: Callable[..., Any],
+                         args: tuple = ()) -> None:
         """Hot-path schedule: no checks, no :class:`Event` handle.
 
-        Contract (the caller's promise, unchecked here): ``delay`` is
-        non-negative and the callback is never cancelled.  Reserved for
+        Contract (the caller's promise, unchecked here): ``time`` is not
+        in the past and the callback is never cancelled.  Reserved for
         kernel-internal transmitters; everything else uses
         :meth:`schedule`.  Note ``args`` is a tuple argument, not
         varargs.
@@ -196,19 +195,6 @@ class Simulator:
         ``_heap`` and ``_seq``, both stable for the simulator's life);
         the entry layout here is the contract they follow.
         """
-        heappush(self._heap,
-                 (self.now + delay, next(self._seq), None, fn, args))
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled("engine"):
-            tracer.emit(self.now, "engine.schedule", "sim",
-                        at=self.now + delay,
-                        fn=getattr(fn, "__qualname__",
-                                   type(fn).__name__), fast=True)
-
-    def schedule_fast_at(self, time: float, fn: Callable[..., Any],
-                         args: tuple = ()) -> None:
-        """Absolute-time twin of :meth:`schedule_fast` (same contract,
-        plus: ``time`` is not in the past)."""
         heappush(self._heap, (time, next(self._seq), None, fn, args))
         tracer = self.tracer
         if tracer is not None and tracer.enabled("engine"):

@@ -45,15 +45,12 @@ class PacketLink:
         self._sink_receive = sink.receive
         # calendar-queue aliases: one delivery event is pushed per
         # packet, so the push itself is inlined (see
-        # Simulator.schedule_fast for the entry-layout contract)
+        # Simulator.schedule_fast_at for the entry-layout contract)
         self._sim_heap = sim._heap
         self._sim_seq = sim._seq
         # denominator precomputed; size * 8 / _rate_bps performs the
         # same float operations as size * 8 / (rate_mbps * 1e6)
         self._rate_bps = rate_mbps * 1e6
-
-    def _tx_time(self, segment: Segment) -> float:
-        return segment.size * 8 / self._rate_bps
 
     def send(self, segment: Segment) -> None:
         busy_until = self._busy_until

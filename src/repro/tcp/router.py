@@ -102,7 +102,7 @@ class PacketPort(PacketSink):
         # same float operations as size * 8 / (rate_mbps * 1e6)
         self._rate_bps = rate_mbps * 1e6
         # calendar-queue aliases for the inlined event pushes (see
-        # Simulator.schedule_fast for the entry-layout contract)
+        # Simulator.schedule_fast_at for the entry-layout contract)
         self._sim_heap = sim._heap
         self._sim_seq = sim._seq
         # downstream routers/links expose receive_at, which lets a
@@ -184,9 +184,6 @@ class PacketPort(PacketSink):
                      (self.sim.now
                       + (segment.payload + HEADER_BYTES) * 8 / self._rate_bps,
                       next(self._sim_seq), None, self._tx_cb, ()))
-
-    def _tx_time(self, segment: Segment) -> float:
-        return segment.size * 8 / self._rate_bps
 
     def _transmitted(self) -> None:
         # Drains back-to-back packet trains in one callback; each hop to

@@ -1,12 +1,10 @@
 """Unit tests for time-series utilities."""
 
 import io
-import math
 
 import pytest
 
-from repro.analysis import (oscillation_amplitude, resample_uniform,
-                            uniform_grid, write_csv)
+from repro.analysis import uniform_grid, write_csv
 from repro.sim import Probe
 
 
@@ -27,32 +25,6 @@ def test_uniform_grid_validation():
         uniform_grid(0.0, 1.0, 1)
     with pytest.raises(ValueError):
         uniform_grid(1.0, 1.0, 5)
-
-
-def test_resample_uniform_holds_and_nans():
-    p = probe_of([(0.5, 10.0), (1.0, 20.0)])
-    times, values = resample_uniform(p, 0.0, 1.0, 5)
-    assert math.isnan(values[0])
-    assert math.isnan(values[1])  # t=0.25 before first sample
-    assert values[2] == 10.0
-    assert values[4] == 20.0
-
-
-def test_oscillation_amplitude():
-    p = probe_of([(i * 0.1, 10.0 + (5.0 if i % 2 else -5.0))
-                  for i in range(20)])
-    assert oscillation_amplitude(p, 0.0, 1.9) == pytest.approx(10.0)
-
-
-def test_oscillation_amplitude_constant_signal():
-    p = probe_of([(0.0, 3.0), (1.0, 3.0)])
-    assert oscillation_amplitude(p, 0.0, 1.0) == 0.0
-
-
-def test_oscillation_amplitude_empty_window():
-    p = probe_of([(10.0, 1.0)])
-    with pytest.raises(ValueError):
-        oscillation_amplitude(p, 0.0, 1.0)
 
 
 def test_write_csv_shape_and_alignment():

@@ -33,7 +33,7 @@ def _reference_imports(index: SourceIndex, modname: str) -> tuple[str, ...]:
 def test_statement_walk_equals_a_full_tree_walk_on_every_module():
     index = SourceIndex()
     modules = index.all_modules()
-    assert len(modules) > 100
+    assert len(modules) > 90
     for modname in modules:
         assert index.imports_of(modname) == _reference_imports(
             index, modname), modname

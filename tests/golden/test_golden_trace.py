@@ -128,3 +128,30 @@ def test_perturbed_tie_break_fails_the_comparison(monkeypatch):
     problems = golden.compare_traces(_fixture(name), perturbed)
     assert problems, ("reversed tie-break produced a bit-identical trace; "
                       "the golden harness lost its ordering sensitivity")
+
+
+def test_a_shared_probe_series_is_digested_once(monkeypatch):
+    """A single-class port's ``queue`` and ``abr_queue`` probes share
+    one pair of arrays; the worker's and the golden trace's reducers
+    canonicalise it once and report it under both names."""
+    from repro.exec.entries import atm_staggered
+    from repro.exec.spec import TaskSpec
+    from repro.exec.worker import execute_task
+
+    calls = []
+    canonical_series = golden.canonical_series
+    monkeypatch.setattr(golden, "canonical_series", lambda probe: (
+        calls.append(probe.name) or canonical_series(probe)))
+    spec = TaskSpec(task_id="E01", scenario="atm.staggered",
+                    params={"duration": 0.05})
+    payload = execute_task({"spec": spec.to_dict()})
+    assert payload["status"] == "ok"
+    digests = payload["probe_digests"]
+    [abr_queue] = [name for name in digests if name.endswith(".abr_queue")]
+    assert digests[abr_queue] == digests[abr_queue.replace("abr_", "")]
+    assert len(calls) == len(digests) - 1
+
+    calls.clear()
+    trace = golden.trace_from_run("E01", 1.0, atm_staggered(duration=0.05))
+    assert trace["probes"] == digests
+    assert len(calls) == len(digests) - 1

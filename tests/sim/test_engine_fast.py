@@ -1,6 +1,6 @@
 """Unit tests for the kernel-internal fast scheduling tier.
 
-``schedule_fast``/``schedule_fast_at`` and ``advance_inline`` carry the
+``schedule_fast_at`` and ``advance_inline`` carry the
 hot path's contract: mixing them with the checked tier must be
 bit-identical to using the checked tier throughout.  These tests pin the
 observable pieces of that contract — shared tie-break, event counting,
@@ -21,8 +21,8 @@ from repro.sim import Simulator
 def test_fast_events_run_in_time_order():
     sim = Simulator()
     order = []
-    sim.schedule_fast(3.0, order.append, ("c",))
-    sim.schedule_fast(1.0, order.append, ("a",))
+    sim.schedule_fast_at(3.0, order.append, ("c",))
+    sim.schedule_fast_at(1.0, order.append, ("a",))
     sim.schedule_fast_at(2.0, order.append, ("b",))
     sim.run()
     assert order == ["a", "b", "c"]
@@ -34,7 +34,7 @@ def test_fast_and_checked_tiers_share_the_tie_break():
     sim = Simulator()
     order = []
     sim.schedule(1.0, order.append, "checked-1")
-    sim.schedule_fast(1.0, order.append, ("fast-1",))
+    sim.schedule_fast_at(1.0, order.append, ("fast-1",))
     sim.schedule_at(1.0, order.append, "checked-2")
     sim.schedule_fast_at(1.0, order.append, ("fast-2",))
     sim.run()
@@ -44,14 +44,14 @@ def test_fast_and_checked_tiers_share_the_tie_break():
 def test_fast_args_default_to_empty_tuple():
     sim = Simulator()
     fired = []
-    sim.schedule_fast(1.0, lambda: fired.append(True))
+    sim.schedule_fast_at(1.0, lambda: fired.append(True))
     sim.run()
     assert fired == [True]
 
 
 def test_fast_events_count_toward_pending_events():
     sim = Simulator()
-    sim.schedule_fast(1.0, lambda: None)
+    sim.schedule_fast_at(1.0, lambda: None)
     ev = sim.schedule(2.0, lambda: None)
     assert sim.pending_events == 2
     ev.cancel()
@@ -64,11 +64,11 @@ def test_inlined_heappush_contract_matches_schedule_fast():
 
     sim = Simulator()
     order = []
-    sim.schedule_fast(1.0, order.append, ("via-method",))
+    sim.schedule_fast_at(1.0, order.append, ("via-method",))
     # the documented entry layout: (time, seq, None, fn, args)
     heappush(sim._heap, (1.0, next(sim._seq), None,
                          order.append, ("via-heappush",)))
-    sim.schedule_fast(1.0, order.append, ("via-method-2",))
+    sim.schedule_fast_at(1.0, order.append, ("via-method-2",))
     sim.run()
     assert order == ["via-method", "via-heappush", "via-method-2"]
 
@@ -105,7 +105,7 @@ def test_advance_inline_refused_when_a_tie_or_earlier_event_pends():
     results = []
 
     def inside():
-        sim.schedule_fast(1.0, lambda: None)  # pending at t=2.0
+        sim.schedule_fast_at(2.0, lambda: None)  # pending at t=2.0
         results.append(sim.advance_inline(2.0))  # tie -> must refuse
         results.append(sim.advance_inline(3.0))  # later event -> refuse
         results.append(sim.advance_inline(1.5))  # strictly first -> ok

@@ -25,8 +25,8 @@ LAZY_PACKAGES = ("repro", "repro.core", "repro.obs", "repro.exec",
 
 #: What a warm replay must never load.
 NOT_ON_REPLAY = tuple(f"repro.{name}" for name in (
-    "atm", "tcp", "fluid", "baselines", "scenarios", "serve", "lint",
-    "fuzz", "perf")) + ("asyncio", "multiprocessing", "concurrent.futures")
+    "atm", "tcp", "fluid", "baselines", "scenarios", "serve", "fuzz",
+    "perf")) + ("asyncio", "multiprocessing", "concurrent.futures")
 
 #: Runs the CLI in a fresh interpreter, then writes its exit status,
 #: every module it loaded and how often it called ``ast.parse`` to
@@ -165,7 +165,6 @@ ARGVS = {
             "--set", "seed=3", "--trace", "t.jsonl", "--manifest", ""],
     "maxmin": ["maxmin", "--link", "l1=150", "--session", "a=l1",
                "--factor", "5"],
-    "lint": ["lint", "src", "--format", "json", "--select", "DET001"],
     "perf": ["perf", "--workload", "e01_staggered", "--scale", "0.1",
              "--output", ""],
     "obs": ["obs", "summarize", "trace.jsonl"],
