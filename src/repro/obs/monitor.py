@@ -22,6 +22,9 @@ from :mod:`repro.core.fairness` (Fahmy et al.'s centralized algorithm).
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import compress
+from operator import lt
 from typing import Any, Mapping
 
 from repro.analysis.metrics import convergence_time, jain_index
@@ -231,12 +234,25 @@ def _port_interval(net) -> float:
 def _scan_queue(probe: Probe, bound: float, name: str,
                 peaks: dict[str, float],
                 violations: dict[str, float]) -> None:
-    peak = 0.0
-    for t, v in probe:
-        if v > peak:
-            peak = v
-            if v > bound and name not in violations:
-                violations[name] = t
+    """Record the probe's peak, floored at 0.0, and, when the peak
+    exceeds ``bound``, the time of the first sample above both
+    ``bound`` and 0.0.
+
+    Both equal what a sample-by-sample ``v > peak`` scan from 0.0
+    reports (``tests/property/test_reducer_properties.py``): ``max``
+    keeps the first of equal maxima, and such a scan first meets
+    ``v > bound`` at the first sample above ``max(bound, 0.0)``.  Only
+    a series that crosses is searched.  Queue series hold no NaN (with
+    a NaN first sample, ``max`` returns NaN).
+    """
+    values = probe.values
+    peak = max(values, default=0.0)
+    if not peak > 0.0:
+        peak = 0.0
+    elif peak > bound and name not in violations:
+        floor = bound if bound > 0.0 else 0.0
+        violations[name] = next(compress(
+            probe.times, map(partial(lt, floor), values)))
     peaks[name] = peak
 
 

@@ -29,6 +29,8 @@ import json
 import sys
 from array import array
 from functools import partial
+from itertools import islice
+from operator import eq
 from typing import Any, Mapping
 
 from repro.fluid.results import FluidRun, HybridRun
@@ -58,10 +60,18 @@ def canonical_series(probe: Probe) -> tuple[array, array]:
     so the canonical form is invariant under the StepProbe same-timestamp
     coalescing the fast kernel performs — and bit-identical across
     kernel versions whenever the simulated outcome is.
+
+    Most series repeat no timestamp (a StepProbe has already coalesced
+    its own), so a C-level scan for a repeat comes first and, finding
+    none, the series is copied whole instead of sample by sample.
     """
+    src_times = probe.times
+    # exact compare on purpose, as in the loop below
+    if not any(map(eq, islice(src_times, 1, None), src_times)):
+        return array("d", src_times), array("d", probe.values)
     times = array("d")
     values = array("d")
-    for t, v in zip(probe.times, probe.values):
+    for t, v in zip(src_times, probe.values):
         # exact compare on purpose: canonicalisation collapses samples
         # at bit-identical timestamps only
         if times and t == times[-1]:

@@ -102,17 +102,27 @@ class Probe:
 
         ``end`` extends the final sample's hold period; it defaults to the
         last sample time (in which case the final sample gets no weight).
+
+        The sum is accumulated left to right, one ``v * (t_next - t)``
+        term per sample, in plain local variables: the result is the
+        same double on every Python version.  ``sum()`` and
+        ``math.fsum`` would round differently (3.12's ``sum()``
+        compensates), so neither is used.
         """
-        if not self.times:
+        times = self.times
+        if not times:
             raise ValueError(f"probe {self.name!r} is empty")
-        horizon = self.times[-1] if end is None else end
-        if horizon < self.times[-1]:
-            return self.window(self.times[0], horizon).time_average(horizon)
+        horizon = times[-1] if end is None else end
+        if horizon < times[-1]:
+            return self.window(times[0], horizon).time_average(horizon)
         total = 0.0
-        for i, (t, v) in enumerate(self):
-            t_next = self.times[i + 1] if i + 1 < len(self) else horizon
+        samples = zip(times, self.values)
+        t, v = next(samples)
+        for t_next, v_next in samples:
             total += v * (t_next - t)
-        span = horizon - self.times[0]
+            t, v = t_next, v_next
+        total += v * (horizon - t)
+        span = horizon - times[0]
         if span <= 0:
             return self.values[-1]
         return total / span
